@@ -7,6 +7,7 @@ Subcommands: simulate, rss, shrink, roc, oracle.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import os
@@ -49,6 +50,14 @@ def _write_manifest(path, entries) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def _report_failures(command, failed_methods) -> None:
+    """Print per-method failure counts, one entry per failed fit."""
+    counts = collections.Counter(failed_methods)
+    if counts:
+        detail = ", ".join(f"{m}={k}" for m, k in counts.items())
+        print(f"{command}: {sum(counts.values())} method failures: {detail}")
+
+
 def _cmd_simulate(args) -> int:
     if not args.config:
         raise ConfigError("simulate requires --config")
@@ -77,9 +86,7 @@ def _cmd_simulate(args) -> int:
             ("numpy_version", np.__version__),
         ],
     )
-    failures = sum(len(o.errors) for o in outputs)
-    if failures:
-        print(f"simulate: {failures} per-trial method failures (see log)")
+    _report_failures("simulate", [m for o in outputs for m in o.errors])
     print(f"simulate: wrote {args.out}/scores.csv")
     return 0
 
@@ -92,6 +99,7 @@ def _cmd_rss(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     series = load_rss(args.data)
     rows, curves = rss_experiment(series, cfg)
+    _report_failures("rss", [r["method"] for r in rows if "error" in r])
     os.makedirs(args.out, exist_ok=True)
     write_rss_scores_csv(rows, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)

@@ -95,6 +95,14 @@ def load_rss(path, schema: RssSchema | None = None) -> RssSeries:
                 values = np.array(row[2:], dtype=float)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if not np.isfinite(t):
+                raise ParseError(f"non-finite timestamp {row[0]!r}", line=lineno)
+            if not np.isfinite(values).all():
+                col = 2 + int(np.flatnonzero(~np.isfinite(values))[0])
+                raise ParseError(
+                    f"non-finite value {row[col]!r} in column {expected[col]}",
+                    line=lineno,
+                )
             if row[1] not in ("0", "1"):
                 raise ParseError(f"unknown label {row[1]!r}", line=lineno)
             if last_t is not None and t <= last_t:
@@ -157,6 +165,9 @@ def detrend(series: RssSeries, method: str = "channel_mean", window: int | None 
     )
 
 
+DETREND_METHODS = ("channel_mean", "moving_average")
+
+
 @dataclass(frozen=True)
 class RssExperimentConfig:
     n: int = 300
@@ -172,6 +183,17 @@ class RssExperimentConfig:
     def __post_init__(self):
         if self.resamples < 1:
             raise ConfigError("resamples must be >= 1")
+        if self.detrend not in DETREND_METHODS:
+            raise ConfigError(
+                f"detrend must be one of {DETREND_METHODS}, got {self.detrend!r}"
+            )
+        if self.detrend == "moving_average" and (
+            self.window is None or self.window < 1 or self.window % 2 == 0
+        ):
+            raise ConfigError(
+                f"detrend = moving_average needs a positive odd window, "
+                f"got {self.window}"
+            )
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}")

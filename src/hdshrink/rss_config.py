@@ -5,6 +5,7 @@ from __future__ import annotations
 from .errors import ConfigError
 from .rss import RssExperimentConfig
 from .shrinkers import PriorSpec
+from .simulate import parse_config_text
 
 RSS_CONFIG_KEYS = {
     "n": int,
@@ -23,15 +24,7 @@ RSS_CONFIG_KEYS = {
 def rss_config_from_text(text: str) -> RssExperimentConfig:
     kwargs = {}
     prior_mode, prior_scale = "covariance_matched", 1.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in RSS_CONFIG_KEYS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+    for key, value in parse_config_text(text, RSS_CONFIG_KEYS).items():
         kind = RSS_CONFIG_KEYS[key]
         try:
             if key == "prior.mode":

@@ -161,34 +161,52 @@ def sample_test(
     return y
 
 
-def _oracle_pilot_scores(cfg: ExperimentConfig, root, Sigma_inv, gamma, pilots=20):
-    """H0/H1 scores of the known-covariance detector on pilot substreams."""
+def _oracle_pilot_terms(cfg: ExperimentConfig, root, Sigma_inv, pilots=20):
+    """Known-covariance detector on pilot substreams, split by signal scale.
+
+    Returns (h0, A, B, C): the H0 scores, and per H1 column the terms of
+    A + 2*gamma*B + gamma**2*C, the H1 score at signal norm gamma.  With
+    D = noise - xbar and a unit-norm signal sig: A = D'S D, B = sig'S D and
+    C = sig'S sig, where S is Sigma_inv.
+    """
     p, n = cfg.p, cfg.n
     m = 40
-    h0_all, h1_all = [], []
+    h0, A, B, C = [], [], [], []
     for t in range(pilots):
         rng = substream(cfg.seed, "pilot", t)
         X = root @ _components(rng, cfg.component_dist, (p, n))
         xbar = X.mean(axis=1)
         noise0 = root @ _components(rng, cfg.component_dist, (p, m))
         noise1 = root @ _components(rng, cfg.component_dist, (p, m))
-        sig = _signal(rng, root, cfg.prior, 1.0, m)  # unit-norm; scaled by gamma
+        sig = _signal(rng, root, cfg.prior, 1.0, m)
         Y0 = noise0 - xbar[:, None]
-        Y1 = noise1 + gamma * sig - xbar[:, None]
-        h0_all.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
-        h1_all.append(np.einsum("ij,ik,kj->j", Y1, Sigma_inv, Y1))
-    return np.concatenate(h0_all), np.concatenate(h1_all)
+        D = noise1 - xbar[:, None]
+        SD = Sigma_inv @ D
+        h0.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
+        A.append(np.einsum("ij,ij->j", D, SD))
+        B.append(np.einsum("ij,ij->j", sig, SD))
+        C.append(np.einsum("ij,ij->j", sig, Sigma_inv @ sig))
+    return tuple(np.concatenate(terms) for terms in (h0, A, B, C))
+
+
+def _oracle_pilot_scores(cfg: ExperimentConfig, root, Sigma_inv, gamma, pilots=20):
+    """H0/H1 scores of the known-covariance detector on pilot substreams."""
+    h0, A, B, C = _oracle_pilot_terms(cfg, root, Sigma_inv, pilots)
+    return h0, A + 2.0 * gamma * B + gamma**2 * C
 
 
 def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
     """Signal scale at which the known-covariance detector has power about
-    0.5 at false-alarm 0.1, found by bisection on common pilot streams."""
+    0.5 at false-alarm 0.1, found by bisection on common pilot streams.
+
+    The pilot draws are scored once; each bisection step only re-evaluates
+    the H1 quadratic in gamma (see _oracle_pilot_terms).
+    """
     root = _spd_root(Sigma)
-    Sigma_inv = np.linalg.inv(Sigma)
+    h0, A, B, C = _oracle_pilot_terms(cfg, root, np.linalg.inv(Sigma))
 
     def power(gamma):
-        h0, h1 = _oracle_pilot_scores(cfg, root, Sigma_inv, gamma)
-        return power_at_fpr(roc(h0, h1), 0.1)
+        return power_at_fpr(roc(h0, A + 2.0 * gamma * B + gamma**2 * C), 0.1)
 
     lo, hi = 0.0, float(np.sqrt(np.trace(Sigma) / cfg.p))
     for _ in range(40):
@@ -303,8 +321,9 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse the flat `key = value` experiment-config format."""
+def parse_config_text(text: str, keys=CONFIG_KEYS) -> dict:
+    """Parse the flat `key = value` config format; `keys` lists the
+    accepted keys (the experiment config's by default)."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -313,7 +332,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")

@@ -3,7 +3,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import hdshrink.rss
+import hdshrink.simulate
 from hdshrink.cli import main
+from hdshrink.errors import DegenerateStatisticError
 from hdshrink.rss import RssSeries, save_rss
 from hdshrink.simulate import substream
 
@@ -38,6 +41,33 @@ def data_csv(tmp_path):
     return path
 
 
+def _fail_method(monkeypatch, module, failing):
+    """Make build_scorer, as looked up by `module`, raise for one method."""
+    real = module.build_scorer
+
+    def build_scorer(method, *args, **kwargs):
+        if method == failing:
+            raise DegenerateStatisticError(f"forced {method} failure")
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(module, "build_scorer", build_scorer)
+
+
+def _rss_inputs(tmp_path, config_text):
+    rng = substream(2, "cli-rss")
+    T, p = 90, 4
+    activity = np.zeros(T, dtype=bool)
+    activity[60:75] = True
+    channels = rng.standard_normal((T, p))
+    channels[activity] += 2.5
+    series = RssSeries(np.arange(T, dtype=float), channels, activity)
+    data = tmp_path / "rss.csv"
+    save_rss(series, data)
+    cfg = tmp_path / "rss.cfg"
+    cfg.write_text(config_text)
+    return data, cfg
+
+
 class TestSimulateCommand:
     def test_outputs_and_exit_code(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -68,24 +98,41 @@ class TestSimulateCommand:
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
+    def test_method_failures_reported(self, tmp_path, config_path, monkeypatch, capsys):
+        _fail_method(monkeypatch, hdshrink.simulate, "cq")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        assert "simulate: 2 method failures: cq=2" in capsys.readouterr().out
+
 
 class TestRssCommand:
     def test_end_to_end(self, tmp_path):
-        rng = substream(2, "cli-rss")
-        T, p = 90, 4
-        activity = np.zeros(T, dtype=bool)
-        activity[60:75] = True
-        channels = rng.standard_normal((T, p))
-        channels[activity] += 2.5
-        series = RssSeries(np.arange(T, dtype=float), channels, activity)
-        data = tmp_path / "rss.csv"
-        save_rss(series, data)
-        cfg = tmp_path / "rss.cfg"
-        cfg.write_text("n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n")
+        data, cfg = _rss_inputs(
+            tmp_path, "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n"
+        )
         out = tmp_path / "out"
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "scores.csv").exists()
         assert (out / "roc.csv").exists()
+
+    def test_method_failures_reported(self, tmp_path, monkeypatch, capsys):
+        _fail_method(monkeypatch, hdshrink.rss, "cq")
+        data, cfg = _rss_inputs(
+            tmp_path, "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        assert "rss: 2 method failures: cq=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["missing", "even"])
+    def test_bad_moving_average_window_exits_2(self, tmp_path, window):
+        data, cfg = _rss_inputs(
+            tmp_path, "n = 30\nresamples = 1\ndetrend = moving_average\n" + window
+        )
+        code = main(
+            ["rss", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
 
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"

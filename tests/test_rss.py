@@ -52,6 +52,21 @@ class TestLoadSave:
         with pytest.raises(ParseError, match="unknown label"):
             load_rss(path, RssSchema(channel_count=1))
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("2.0,0,nan", "ch_0001"),
+            ("2.0,0,-inf", "ch_0001"),
+            ("inf,0,0.5", "timestamp"),
+            ("nan,0,0.5", "timestamp"),
+        ],
+    )
+    def test_non_finite_rejected_with_line(self, tmp_path, row, match):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"t,label,ch_0001\n1.0,0,0.5\n{row}\n")
+        with pytest.raises(ParseError, match=f"line 3: .*{match}"):
+            load_rss(path, RssSchema(channel_count=1))
+
     def test_non_monotone_timestamps(self, tmp_path):
         path = tmp_path / "time.csv"
         path.write_text("t,label,ch_0001\n2.0,0,0.5\n1.0,0,0.5\n")
@@ -171,3 +186,22 @@ class TestRssConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             rss_config_from_text("bandwidth = 3\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            rss_config_from_text("n = 10\nn = 20\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "detrend = moving_average\n",
+            "detrend = moving_average\nwindow = 4\n",
+            "detrend = moving_average\nwindow = 0\n",
+            "detrend = moving_average\nwindow = -3\n",
+            "detrend = loess\n",
+        ],
+        ids=["no-window", "even", "zero", "negative", "unknown-method"],
+    )
+    def test_detrend_checked_at_parse_time(self, text):
+        with pytest.raises(ConfigError, match="detrend"):
+            rss_config_from_text(text)

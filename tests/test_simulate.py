@@ -6,7 +6,10 @@ from hdshrink.linalg import sample_covariance
 from hdshrink.shrinkers import PriorSpec
 from hdshrink.simulate import (
     ExperimentConfig,
+    _components,
+    _oracle_pilot_scores,
     _signal,
+    _spd_root,
     calibrate_gamma,
     config_from_text,
     config_to_text,
@@ -182,6 +185,49 @@ class TestRunTrials:
             ExperimentConfig(p=100, n=80, methods=("proposed",))
 
 
+def _direct_pilot_scores(cfg, sigma, gamma, pilots=20):
+    """Pilot scores formed as calibration once did: Y1 = noise1 + gamma*sig
+    - xbar, redrawn for every gamma, scored with a direct quadratic form."""
+    root, Sigma_inv = _spd_root(sigma), np.linalg.inv(sigma)
+    m = 40
+    h0_all, h1_all = [], []
+    for t in range(pilots):
+        rng = substream(cfg.seed, "pilot", t)
+        X = root @ _components(rng, cfg.component_dist, (cfg.p, cfg.n))
+        xbar = X.mean(axis=1)
+        noise0 = root @ _components(rng, cfg.component_dist, (cfg.p, m))
+        noise1 = root @ _components(rng, cfg.component_dist, (cfg.p, m))
+        sig = _signal(rng, root, cfg.prior, 1.0, m)
+        Y0 = noise0 - xbar[:, None]
+        Y1 = noise1 + gamma * sig - xbar[:, None]
+        h0_all.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
+        h1_all.append(np.einsum("ij,ik,kj->j", Y1, Sigma_inv, Y1))
+    return np.concatenate(h0_all), np.concatenate(h1_all)
+
+
+def _reference_calibration(cfg, sigma):
+    """The bracket-then-bisect search, redrawing the pilots at every step."""
+    from hdshrink.evaluate import power_at_fpr, roc
+
+    def power(gamma):
+        return power_at_fpr(roc(*_direct_pilot_scores(cfg, sigma, gamma)), 0.1)
+
+    lo, hi = 0.0, float(np.sqrt(np.trace(sigma) / cfg.p))
+    for _ in range(40):
+        if power(hi) >= 0.5:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise AssertionError("reference calibration failed to bracket")
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if power(mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class TestGammaCalibration:
     def test_oracle_power_near_half(self):
         cfg = ExperimentConfig(
@@ -194,6 +240,38 @@ class TestGammaCalibration:
 
         h0, h1 = _oracle_pilot_scores(cfg, _spd_root(sigma), np.linalg.inv(sigma), gamma)
         assert power_at_fpr(roc(h0, h1), 0.1) == pytest.approx(0.5, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                p=42, n=80, kappa=10.0, gamma=None, trials=1, seed=4,
+                component_dist="uniform", prior=PriorSpec("identity"),
+            ),
+            ExperimentConfig(
+                p=60, n=150, kappa=10.0, gamma=None, trials=1, seed=5,
+                component_dist="gaussian", prior=PriorSpec("covariance_matched"),
+            ),
+        ],
+        ids=["uniform-identity", "gaussian-covariance_matched"],
+    )
+    def test_matches_redrawing_bisection(self, cfg):
+        sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
+        assert calibrate_gamma(cfg, sigma) == _reference_calibration(cfg, sigma)
+
+    def test_h1_scores_match_direct_quadratic_form(self):
+        cfg = ExperimentConfig(
+            p=50, n=90, kappa=100.0, gamma=None, trials=1, seed=16,
+            prior=PriorSpec("covariance_matched"),
+        )
+        sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
+        gamma = 3.7
+        h0, h1 = _oracle_pilot_scores(
+            cfg, _spd_root(sigma), np.linalg.inv(sigma), gamma, pilots=4
+        )
+        ref_h0, ref_h1 = _direct_pilot_scores(cfg, sigma, gamma, pilots=4)
+        assert np.array_equal(h0, ref_h0)
+        assert np.allclose(h1, ref_h1, rtol=1e-12, atol=0.0)
 
 
 class TestConfigFile:
