@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError, HdshrinkError, NumericError
 from .evaluate import render, roc, write_summary_csv
-from .linalg import eigh, load_matrix, sample_covariance
+from .linalg import blas_thread_control, eigh, load_matrix, sample_covariance
 from .mpkernel import identity_mp_oracle, lw_curve
 from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
@@ -79,6 +79,7 @@ def _cmd_simulate(args) -> int:
             ("seed", cfg.seed),
             ("gamma", f"{gamma:.17g}"),
             ("threads", args.threads),
+            ("blas_threads", 1 if blas_thread_control() else "unpinned"),
             ("tail.mode", cfg.tail.mode),
             ("tail.c", f"{cfg.tail.c:g}"),
             ("tail.C", f"{cfg.tail.C:g}"),
@@ -99,7 +100,17 @@ def _cmd_rss(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     series = load_rss(args.data)
     rows, curves = rss_experiment(series, cfg)
-    _report_failures("rss", [r["method"] for r in rows if "error" in r])
+    failures = [r for r in rows if "error" in r]
+    _report_failures("rss", [r["method"] for r in failures])
+    if failures and not curves:
+        counts = collections.Counter(r["method"] for r in failures)
+        first = {}
+        for r in failures:
+            first.setdefault(r["method"], r["error"])
+        raise NumericError(
+            "every method failed: "
+            + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
+        )
     os.makedirs(args.out, exist_ok=True)
     write_rss_scores_csv(rows, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)

@@ -1,5 +1,6 @@
 """Dense symmetric linear algebra: sample covariance, eigendecomposition,
-spectral function application, and quadratic forms.
+spectral function application, and quadratic forms, plus control of the
+BLAS thread count.
 
 Data matrices are p x n arrays whose columns are observations.  All
 operations are pure; returned arrays are freshly allocated.
@@ -7,6 +8,9 @@ operations are pure; returned arrays are freshly allocated.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +18,42 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericError
 
 SYMMETRY_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def blas_thread_control():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when its exported setter is not found.  Looked up on first use, through
+    numpy's core extension module, which links that OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with BLAS at one thread, then restore the previous
+    count.  Without the OpenBLAS setter the thread count is left alone
+    (set OPENBLAS_NUM_THREADS=1 instead)."""
+    control = blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def validate_data_matrix(X: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ class _TylerScorer:
 
     def __call__(self, Y: np.ndarray):
         D = Y - self.xbar[:, None]
-        raw = np.einsum("ij,ik,kj->j", D, self.precision, D)
+        raw = np.einsum("ij,ij->j", D, self.precision @ D)
         return raw.copy(), raw
 
 

@@ -277,7 +277,10 @@ def tyler_estimator(
         q = np.einsum("ij,ij->j", Xc, solved)
         if np.any(q <= 0):
             raise NumericError("scatter iterate lost positive definiteness")
-        updated = (1.0 - rho) * (p / n) * ((Xc / q) @ Xc.T) + rho * np.eye(p)
+        W = Xc / np.sqrt(q)
+        updated = W @ W.T  # symmetric product: numpy calls syrk
+        updated *= (1.0 - rho) * (p / n)
+        updated[np.diag_indices(p)] += rho
         updated *= p / np.trace(updated)
         updated = (updated + updated.T) / 2.0
         residual = np.linalg.norm(updated - sigma) / np.linalg.norm(sigma)

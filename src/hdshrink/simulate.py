@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ import numpy as np
 from .detector import TailConstants
 from .errors import ConfigError, DataError, DomainError, RegimeError
 from .evaluate import power_at_fpr, roc
+from .linalg import single_threaded_blas
 from .scoring import METHODS, SPECTRAL_METHODS, build_scorer, fit_reference
 from .shrinkers import PriorSpec
 
@@ -200,10 +202,12 @@ def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
     0.5 at false-alarm 0.1, found by bisection on common pilot streams.
 
     The pilot draws are scored once; each bisection step only re-evaluates
-    the H1 quadratic in gamma (see _oracle_pilot_terms).
+    the H1 quadratic in gamma (see _oracle_pilot_terms).  BLAS runs at one
+    thread, so the result does not depend on its thread count.
     """
-    root = _spd_root(Sigma)
-    h0, A, B, C = _oracle_pilot_terms(cfg, root, np.linalg.inv(Sigma))
+    with single_threaded_blas():
+        root = _spd_root(Sigma)
+        h0, A, B, C = _oracle_pilot_terms(cfg, root, np.linalg.inv(Sigma))
 
     def power(gamma):
         return power_at_fpr(roc(h0, A + 2.0 * gamma * B + gamma**2 * C), 0.1)
@@ -266,18 +270,25 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int = 1):
     """Run the configured Monte-Carlo trials; deterministic given the seed.
 
     Sigma defaults to make_covariance(cfg.p, cfg.kappa, cfg.seed); pass an
-    explicit matrix to override the recipe.
+    explicit matrix to override the recipe.  The trial pool is the only
+    parallelism: it has min(threads, os.cpu_count(), trials) workers, and
+    BLAS runs at one thread throughout, so the scores do not depend on
+    either thread count.
     """
     if Sigma is None:
         Sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
-    root = _spd_root(Sigma)
-    gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, Sigma)
-    indices = range(cfg.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda t: _run_one_trial(cfg, root, gamma, t), indices))
-    else:
-        outputs = [_run_one_trial(cfg, root, gamma, t) for t in indices]
+    workers = max(1, min(threads, os.cpu_count() or 1, cfg.trials))
+    with single_threaded_blas():
+        root = _spd_root(Sigma)
+        gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, Sigma)
+        indices = range(cfg.trials)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outputs = list(
+                    pool.map(lambda t: _run_one_trial(cfg, root, gamma, t), indices)
+                )
+        else:
+            outputs = [_run_one_trial(cfg, root, gamma, t) for t in indices]
     outputs.sort(key=lambda o: o.trial_index)
     return outputs
 

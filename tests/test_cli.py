@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdshrink
+import hdshrink.cli
+import hdshrink.linalg
 import hdshrink.rss
 import hdshrink.simulate
 from hdshrink.cli import main
@@ -22,6 +29,19 @@ component_dist = uniform
 seed = 5
 methods = proposed, identity, cq
 lappw_grid_points = 200
+"""
+
+# Large enough that OpenBLAS splits its products over threads.
+BLAS_SIZED_CONFIG = """\
+p = 200
+n = 300
+kappa = 100
+gamma = auto
+trials = 2
+tests_per_trial_h0 = 20
+tests_per_trial_h1 = 20
+component_dist = uniform
+seed = 7
 """
 
 
@@ -90,6 +110,41 @@ class TestSimulateCommand:
         assert (b / "scores.csv").read_bytes() == ref
         assert (c / "scores.csv").read_bytes() == ref
 
+    def test_bytes_independent_of_blas_env_and_threads(self, tmp_path):
+        cfg = tmp_path / "experiment.cfg"
+        cfg.write_text(BLAS_SIZED_CONFIG)
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(hdshrink.__file__).parents[1])] + sys.path
+        )
+        results = {}
+        for blas in (None, "1", "2"):
+            env = dict(base) if blas is None else dict(base, OPENBLAS_NUM_THREADS=blas)
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}-threads{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "hdshrink.cli", "simulate", "--config",
+                     str(cfg), "--out", str(out), "--threads", threads],
+                    env=env, check=True, capture_output=True,
+                )
+                gamma = [
+                    line for line in (out / "manifest").read_text().splitlines()
+                    if line.startswith("gamma = ")
+                ]
+                results[blas, threads] = ((out / "scores.csv").read_bytes(), gamma)
+        reference = results[None, "1"]
+        assert [k for k, v in results.items() if v != reference] == []
+
+    @pytest.mark.parametrize("setter", ["found", "missing"])
+    def test_manifest_records_blas_threads(self, tmp_path, config_path, monkeypatch, setter):
+        if setter == "missing":
+            for module in (hdshrink.linalg, hdshrink.cli):
+                monkeypatch.setattr(module, "blas_thread_control", lambda: None)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        expected = "1" if hdshrink.cli.blas_thread_control() else "unpinned"
+        assert f"blas_threads = {expected}\n" in (out / "manifest").read_text()
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("p = 10\nwhat = 3\n")
@@ -123,6 +178,15 @@ class TestRssCommand:
         out = tmp_path / "out"
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
         assert "rss: 2 method failures: cq=2" in capsys.readouterr().out
+
+    def test_every_method_failing_exits_4(self, tmp_path, monkeypatch, capsys):
+        _fail_method(monkeypatch, hdshrink.rss, "cq")
+        data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 2\nmethods = cq\nseed = 3\n")
+        out = tmp_path / "out"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric error: every method failed: cq 2x" in err
+        assert "forced cq failure" in err
 
     @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["missing", "even"])
     def test_bad_moving_average_window_exits_2(self, tmp_path, window):

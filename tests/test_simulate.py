@@ -1,9 +1,13 @@
+import dataclasses
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import hdshrink.simulate
 from hdshrink.errors import ConfigError, DataError, DomainError
-from hdshrink.linalg import sample_covariance
-from hdshrink.shrinkers import PriorSpec
+from hdshrink.linalg import blas_thread_control, sample_covariance
+from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
     _components,
@@ -131,6 +135,20 @@ class TestRunTrials:
         expected = np.sum((Y0 - X.mean(axis=1)[:, None]) ** 2, axis=0)
         assert np.allclose(out.scores["identity"]["h0_raw"], expected, rtol=1e-12)
 
+    def test_tyler_scores_match_direct_quadratic_form(self):
+        cfg = dataclasses.replace(SMALL, trials=1, methods=("tyler",))
+        sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
+        out = run_trials(cfg, Sigma=sigma)[0]
+        root = _spd_root(sigma)
+        rng_train = substream(cfg.seed, "trial", 0, "train")
+        X = root @ _components(rng_train, cfg.component_dist, (cfg.p, cfg.n))
+        rng_h0 = substream(cfg.seed, "trial", 0, "test_h0")
+        D = root @ _components(rng_h0, cfg.component_dist, (cfg.p, 8))
+        D -= X.mean(axis=1)[:, None]
+        P = np.linalg.inv(tyler_estimator(X, rho=cfg.tyler_rho))
+        expected = np.array([d @ P @ d for d in D.T])
+        assert np.allclose(out.scores["tyler"]["h0_raw"], expected, rtol=1e-12, atol=0.0)
+
     def test_deterministic_rerun(self):
         sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
         a = scores_csv_lines(run_trials(SMALL, Sigma=sigma))
@@ -142,6 +160,51 @@ class TestRunTrials:
         a = scores_csv_lines(run_trials(SMALL, Sigma=sigma, threads=1))
         b = scores_csv_lines(run_trials(SMALL, Sigma=sigma, threads=8))
         assert a == b
+
+    def test_blas_pinned_in_trials_and_restored(self, monkeypatch):
+        control = blas_thread_control()
+        if control is None:
+            pytest.skip("OpenBLAS thread setter not found")
+        get, set_ = control
+        original = get()
+        set_(2)
+        try:
+            before = get()
+            seen = []
+            real = hdshrink.simulate._run_one_trial
+
+            def spy(*args):
+                seen.append(get())
+                return real(*args)
+
+            def failing(*args):
+                raise RuntimeError("trial failed")
+
+            monkeypatch.setattr(hdshrink.simulate, "_run_one_trial", spy)
+            run_trials(SMALL, threads=2)
+            assert seen == [1] * SMALL.trials
+            assert get() == before
+            monkeypatch.setattr(hdshrink.simulate, "_run_one_trial", failing)
+            with pytest.raises(RuntimeError):
+                run_trials(SMALL, threads=2)
+            assert get() == before
+        finally:
+            set_(original)
+
+    def test_workers_clamped_to_cores_and_trials(self, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(hdshrink.simulate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(hdshrink.simulate.os, "cpu_count", lambda: 2)
+        run_trials(SMALL, threads=8)
+        monkeypatch.setattr(hdshrink.simulate.os, "cpu_count", lambda: 16)
+        run_trials(SMALL, threads=8)
+        assert sizes == [2, SMALL.trials]
 
     def test_method_failures_recorded_per_trial(self):
         cfg = ExperimentConfig(
