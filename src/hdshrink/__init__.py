@@ -8,10 +8,10 @@ from .detector import (
     DetectionScore,
     TailConstants,
     detection_criterion,
-    gamma_tilde,
+    gamma_tilde_all,
     mu_tilde,
     power_bound,
-    sigma_tilde2,
+    sigma_tilde2_batch,
     significance_bound,
     srht,
     standardize,

@@ -22,7 +22,7 @@ from .linalg import blas_thread_control, eigh, load_matrix, sample_covariance
 from .mpkernel import identity_mp_oracle, lw_curve
 from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
-from .scoring import METHODS
+from .scoring import METHODS, worker_count, write_errors_csv
 from .shrinkers import (
     PriorSpec,
     ShrinkageCurve,
@@ -50,9 +50,11 @@ def _write_manifest(path, entries) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _report_failures(command, failed_methods) -> None:
-    """Print per-method failure counts, one entry per failed fit."""
-    counts = collections.Counter(failed_methods)
+def _report_failures(command, failures, out) -> None:
+    """Write errors.csv and print per-method failure counts, one entry per
+    failed fit."""
+    write_errors_csv(failures, os.path.join(out, "errors.csv"))
+    counts = collections.Counter(f.method for f in failures)
     if counts:
         detail = ", ".join(f"{m}={k}" for m, k in counts.items())
         print(f"{command}: {sum(counts.values())} method failures: {detail}")
@@ -68,7 +70,8 @@ def _cmd_simulate(args) -> int:
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
     gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, sigma)
     resolved = dataclasses.replace(cfg, gamma=gamma)
-    outputs = run_trials(resolved, Sigma=sigma, threads=args.threads)
+    threads = worker_count(args.threads, cfg.trials)
+    outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     with open(args.config, "r", encoding="utf-8") as src:
         with open(os.path.join(args.out, "config_echo"), "w", encoding="utf-8") as dst:
@@ -78,16 +81,14 @@ def _cmd_simulate(args) -> int:
         [
             ("seed", cfg.seed),
             ("gamma", f"{gamma:.17g}"),
-            ("threads", args.threads),
+            ("threads", threads),
             ("blas_threads", 1 if blas_thread_control() else "unpinned"),
-            ("tail.mode", cfg.tail.mode),
-            ("tail.c", f"{cfg.tail.c:g}"),
-            ("tail.C", f"{cfg.tail.C:g}"),
             ("hdshrink_version", __version__),
             ("numpy_version", np.__version__),
         ],
     )
-    _report_failures("simulate", [m for o in outputs for m in o.errors])
+    failures = [f for o in outputs for f in o.errors.values()]
+    _report_failures("simulate", failures, args.out)
     print(f"simulate: wrote {args.out}/scores.csv")
     return 0
 
@@ -99,19 +100,17 @@ def _cmd_rss(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     series = load_rss(args.data)
-    rows, curves = rss_experiment(series, cfg)
-    failures = [r for r in rows if "error" in r]
-    _report_failures("rss", [r["method"] for r in failures])
+    rows, curves = rss_experiment(series, cfg, threads=args.threads)
+    failures = [r["error"] for r in rows if "error" in r]
+    os.makedirs(args.out, exist_ok=True)
+    _report_failures("rss", failures, args.out)
     if failures and not curves:
-        counts = collections.Counter(r["method"] for r in failures)
-        first = {}
-        for r in failures:
-            first.setdefault(r["method"], r["error"])
+        counts = collections.Counter(f.method for f in failures)
+        first = {f.method: f for f in reversed(failures)}
         raise NumericError(
             "every method failed: "
             + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
         )
-    os.makedirs(args.out, exist_ok=True)
     write_rss_scores_csv(rows, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)
     print(f"rss: wrote {args.out}/scores.csv and {args.out}/roc.csv")
@@ -210,23 +209,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def experiment(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, help="worker threads (default: cores)")
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default="out")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo synthetic experiment")
-    common(p_sim)
+    experiment(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rss = sub.add_parser("rss", help="sensor-data detection experiment")
-    common(p_rss)
+    experiment(p_rss)
     p_rss.add_argument("--data", required=True)
     p_rss.set_defaults(func=_cmd_rss)
 
     p_shr = sub.add_parser("shrink", help="dump a shrinkage curve for a data CSV")
-    common(p_shr)
+    p_shr.add_argument("--out", default="out")
     p_shr.add_argument("--data", required=True)
     p_shr.add_argument("--shrinker", choices=METHODS, default="proposed")
     p_shr.add_argument(
@@ -235,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_shr.set_defaults(func=_cmd_shrink)
 
     p_roc = sub.add_parser("roc", help="scores CSV -> ROC, AUC, summary")
-    common(p_roc)
+    p_roc.add_argument("--out", default="out")
     p_roc.add_argument("--scores", required=True)
     p_roc.add_argument("--log-fpr", action="store_true")
     p_roc.set_defaults(func=_cmd_roc)
 
     p_orc = sub.add_parser("oracle", help="identity-model density/shrinker tables")
-    common(p_orc)
+    p_orc.add_argument("--out", default="out")
     p_orc.add_argument("--phi", type=float, required=True)
     p_orc.add_argument("--points", type=int, default=200)
     p_orc.set_defaults(func=_cmd_oracle)

@@ -1,12 +1,16 @@
 """Shrinkage-regularized quadratic-form detection: the raw statistic, its
 empirical standardization, the detection criterion, and tail bounds.
 
-Standardization convention: sigma_tilde2() estimates the trace functional
-p^{-1} tr(f(S) Sigma f(S) Sigma).  A Gaussian quadratic form z'Az has
-variance 2 tr(A^2), so every standardization scale in this module is
-sqrt(2 * sigma_tilde2) * sqrt(p); with that scale the null scores are
-asymptotically standard normal for Gaussian data and the error-function
-significance levels below are exact in the limit.
+Standardization convention: sigma_tilde2_batch() estimates the trace
+functional p^{-1} tr(f(S) Sigma f(S) Sigma) for each row f of its input.  A
+Gaussian quadratic form z'Az has variance 2 tr(A^2), so every
+standardization scale in this module is sqrt(2 * sigma_tilde2) * sqrt(p);
+with that scale the null scores are asymptotically standard normal for
+Gaussian data and the error-function significance levels below are exact in
+the limit.
+
+Shrinker functionals come in one batched form each: gamma_tilde_all and
+sigma_tilde2_batch take a (..., p) stack of shrinker value vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateStatisticError, DimensionError, DomainError
 from .linalg import Spectrum
-from .mpkernel import LwCurve, kernel_matrix
+from .mpkernel import DEFAULT_BANDWIDTH_EXPONENT, LwCurve, kernel_matrix
 
 GAUSSIAN_QF_VARIANCE_FACTOR = 2.0
 
@@ -101,7 +105,7 @@ def mu_tilde(f_vals, d_vals) -> float:
 
 
 def gamma_tilde_all(
-    F, lam, d_vals, n, bandwidth_exponent=None, kmat=None
+    F, lam, d_vals, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT, kmat=None
 ) -> np.ndarray:
     """Smoothed resolvent correction of shrinker values, batched.
 
@@ -116,41 +120,18 @@ def gamma_tilde_all(
     if F.shape[-1] != lam.shape[0] or d.shape != lam.shape:
         raise DimensionError("shrinker/eigenvalue/shrinkage lengths disagree")
     if kmat is None:
-        if bandwidth_exponent is None:
-            kmat = kernel_matrix(lam, n)
-        else:
-            kmat = kernel_matrix(lam, n, bandwidth_exponent)
+        kmat = kernel_matrix(lam, n, bandwidth_exponent)
     scale = np.pi / n
     colsum = d @ kmat
     return F * (1.0 + scale * colsum) - scale * ((F * d) @ kmat)
 
 
-def gamma_tilde(f_vals, lam, d_vals, n, i, bandwidth_exponent=None) -> float:
-    """Gamma-correction of one shrinker evaluated at eigenvalue index i."""
-    vals = gamma_tilde_all(
-        np.asarray(f_vals, dtype=float)[None, :], lam, d_vals, n, bandwidth_exponent
-    )
-    return float(vals[0, int(i)])
-
-
-def sigma_tilde2(f_vals, curve: LwCurve, kmat=None) -> float:
-    """Variance functional p^{-1} sum_i [Gf(lam_i)]^2 lam_i d(lam_i).
+def sigma_tilde2_batch(F, curve: LwCurve, kmat=None) -> np.ndarray:
+    """Variance functional p^{-1} sum_i [Gf(lam_i)]^2 lam_i d(lam_i) for
+    every row f of F.
 
     Consistent for the trace functional p^{-1} tr(f(S) Sigma f(S) Sigma).
     """
-    g = gamma_tilde_all(
-        np.asarray(f_vals, dtype=float)[None, :],
-        curve.lam,
-        curve.d_tilde,
-        curve.n,
-        curve.bandwidth_exponent,
-        kmat=kmat,
-    )[0]
-    return float(np.mean(g * g * curve.lam * curve.d_tilde))
-
-
-def sigma_tilde2_batch(F, curve: LwCurve, kmat=None) -> np.ndarray:
-    """sigma_tilde2 for every row of F at once."""
     if kmat is None:
         kmat = kernel_matrix(curve.lam, curve.n, curve.bandwidth_exponent)
     g = gamma_tilde_all(F, curve.lam, curve.d_tilde, curve.n, kmat=kmat)
@@ -159,7 +140,8 @@ def sigma_tilde2_batch(F, curve: LwCurve, kmat=None) -> np.ndarray:
 
 def standardization_scale(f_vals, curve: LwCurve, kmat=None) -> float:
     """Null standard deviation of the statistic per sqrt(p)."""
-    s2 = sigma_tilde2(f_vals, curve, kmat=kmat)
+    F = np.asarray(f_vals, dtype=float)[None, :]
+    s2 = float(sigma_tilde2_batch(F, curve, kmat=kmat)[0])
     return math.sqrt(GAUSSIAN_QF_VARIANCE_FACTOR * max(s2, 0.0))
 
 

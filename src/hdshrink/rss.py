@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
 from .evaluate import roc
-from .scoring import METHODS, SPECTRAL_METHODS, build_scorer, fit_reference
+from .scoring import METHODS, fit_and_score, map_indices
 from .shrinkers import PriorSpec
 from .simulate import substream
 
@@ -199,13 +199,18 @@ class RssExperimentConfig:
             raise ConfigError(f"unknown methods {sorted(unknown)}")
 
 
-def rss_experiment(series: RssSeries, cfg: RssExperimentConfig):
+def rss_experiment(
+    series: RssSeries, cfg: RssExperimentConfig, threads: int | None = None
+):
     """Reference/test resampling over inactive instants.
 
     Each resample draws n inactive instants without replacement as the
     reference sample, fits every method on those columns only, and scores
-    all remaining instants, tagged with ground-truth activity.  Returns
-    (rows, curves): scores.csv-style records and one pooled ROC per method.
+    all remaining instants, tagged with ground-truth activity.  Resamples
+    run through scoring.map_indices (threads=None: one worker per core).
+    Returns (rows, curves): scores.csv-style records, where a method that
+    failed on a resample leaves one row whose "error" is its
+    scoring.Failure, and one pooled ROC per method.
     """
     work = detrend(series, cfg.detrend, cfg.window)
     inactive = work.inactive_indices()
@@ -215,48 +220,42 @@ def rss_experiment(series: RssSeries, cfg: RssExperimentConfig):
             f"instants (have {inactive.size})"
         )
     all_idx = np.arange(work.channels.shape[0])
-    need_curve = any(m in SPECTRAL_METHODS for m in cfg.methods)
-    rows = []
-    pooled = {m: ([], []) for m in cfg.methods}
-    for r in range(cfg.resamples):
+
+    def resample(r):
         rng = substream(cfg.seed, "rss", r)
         ref = np.sort(rng.choice(inactive, size=cfg.n, replace=False))
         test = np.setdiff1d(all_idx, ref, assume_unique=True)
-        X = work.channels[ref].T
-        fit = fit_reference(X, need_curve=need_curve)
-        Y = work.channels[test].T
-        labels = work.activity[test]
+        scores, failures = fit_and_score(
+            cfg, work.channels[ref].T, (work.channels[test].T,), r
+        )
+        return work.activity[test], scores, failures
+
+    rows = []
+    pooled = {m: ([], []) for m in cfg.methods}
+    for r, (labels, scores, failures) in enumerate(
+        map_indices(resample, cfg.resamples, threads)
+    ):
         for method in cfg.methods:
-            try:
-                scorer = build_scorer(
-                    method,
-                    fit,
-                    cfg.prior,
-                    tyler_rho=cfg.tyler_rho,
-                    lappw_grid_points=cfg.lappw_grid_points,
-                )
-                z, raw = scorer(Y)
-            except Exception as exc:
-                rows.append(
-                    {"trial": r, "method": method, "error": f"{type(exc).__name__}: {exc}"}
-                )
+            if method in failures:
+                rows.append({"trial": r, "method": method, "error": failures[method]})
                 continue
-            pooled[method][0].extend(z[~labels])
-            pooled[method][1].extend(z[labels])
-            for zi, ri, lab in zip(z, raw, labels):
+            ((z, raw),) = scores[method]
+            pooled[method][0].append(z[~labels])
+            pooled[method][1].append(z[labels])
+            for zi, ri, lab in zip(z.tolist(), raw.tolist(), labels):
                 rows.append(
                     {
                         "trial": r,
                         "method": method,
                         "label_h1": int(lab),
-                        "score_z": float(zi),
-                        "score_raw": float(ri),
+                        "score_z": zi,
+                        "score_raw": ri,
                     }
                 )
     curves = [
-        roc(np.array(h0), np.array(h1), method=m)
+        roc(np.concatenate(h0), np.concatenate(h1), method=m)
         for m, (h0, h1) in pooled.items()
-        if len(h0) and len(h1)
+        if sum(a.size for a in h0) and sum(a.size for a in h1)
     ]
     return rows, curves
 

@@ -1,25 +1,32 @@
-"""Fit-once/score-many plumbing shared by the synthetic and sensor-data
+"""Fit-once/score-many engine shared by the synthetic and sensor-data
 experiment drivers.
 
 A reference sample fixes the spectrum, shrinkage curve, and per-method
 scorers; test vectors are then scored in bulk.  Spectral methods emit both
 the raw quadratic form and its standardized score; the scatter fixed point
 and the cross-product comparator have no spectral standardization, so their
-standardized column repeats the raw score.
+standardized column repeats the raw score.  map_indices runs one
+fit_and_score task per trial or resample, in a pool with BLAS at one thread.
 """
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import detector, shrinkers
 from .errors import ConfigError
-from .linalg import Spectrum, eigh, sample_covariance
+from .linalg import Spectrum, eigh, sample_covariance, single_threaded_blas
 from .mpkernel import LwCurve, kernel_matrix, lw_curve
+
+logger = logging.getLogger(__name__)
 
 METHODS = ("proposed", "lw", "lappw", "tyler", "cq", "hotelling", "identity")
 SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
@@ -114,3 +121,60 @@ def build_scorer(method, fit, prior, tyler_rho=0.1, lappw_grid_points=10_000):
     if method == "cq":
         return _CrossProductScorer(fit)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+class Failure(NamedTuple):
+    """One method that raised while fitting or scoring on one trial; the
+    fields are the columns of errors.csv."""
+
+    trial: int
+    method: str
+    error_type: str
+    message: str
+
+    def __str__(self):
+        return f"{self.error_type}: {self.message}"
+
+
+def fit_and_score(cfg, X, blocks, trial: int):
+    """Fit the reference sample X, then score each block of test columns
+    with each of cfg.methods (cfg also gives prior, tyler_rho and
+    lappw_grid_points).  Returns (scores, failures): per method, one
+    (z, raw) pair per block, or the Failure of a method that raised.
+    """
+    fit = fit_reference(X, need_curve=any(m in SPECTRAL_METHODS for m in cfg.methods))
+    scores, failures = {}, {}
+    for method in cfg.methods:
+        try:
+            scorer = build_scorer(
+                method, fit, cfg.prior, cfg.tyler_rho, cfg.lappw_grid_points
+            )
+            scores[method] = [scorer(Y) for Y in blocks]
+        except Exception as exc:  # recorded; the other methods continue
+            logger.warning("trial %d: method %s failed: %s", trial, method, exc)
+            failures[method] = Failure(trial, method, type(exc).__name__, str(exc))
+    return scores, failures
+
+
+def worker_count(threads: int | None, count: int) -> int:
+    """min(threads, cores, count), at least 1; threads=None means cores."""
+    cores = os.cpu_count() or 1
+    return max(1, min(cores if threads is None else threads, cores, count))
+
+
+def map_indices(task, count: int, threads: int | None = None) -> list:
+    """[task(i) for i in range(count)] on worker_count(threads, count)
+    threads, with BLAS at one thread, so neither thread count changes the
+    results."""
+    workers = worker_count(threads, count)
+    with single_threaded_blas():
+        if workers == 1:
+            return [task(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, range(count)))
+
+
+def write_errors_csv(failures, path) -> None:
+    """errors.csv: a header line, then one line per Failure."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([Failure._fields, *failures])

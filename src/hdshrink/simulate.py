@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import TailConstants
 from .errors import ConfigError, DataError, DomainError, RegimeError
 from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
-from .scoring import METHODS, SPECTRAL_METHODS, build_scorer, fit_reference
+from .scoring import METHODS, SPECTRAL_METHODS, fit_and_score, map_indices
 from .shrinkers import PriorSpec
-
-logger = logging.getLogger(__name__)
 
 SQRT3 = np.sqrt(3.0)
 COMPONENT_DISTS = ("uniform", "gaussian")
@@ -56,7 +50,6 @@ class ExperimentConfig:
     methods: tuple = ("proposed", "lw", "lappw", "tyler", "cq", "hotelling", "identity")
     lappw_grid_points: int = 10_000
     tyler_rho: float = 0.1
-    tail: TailConstants = field(default_factory=TailConstants)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -83,7 +76,7 @@ class ExperimentConfig:
 class TrialOutput:
     trial_index: int
     scores: dict  # method -> {"h0_z", "h0_raw", "h1_z", "h1_raw"}
-    errors: dict  # method -> failure message
+    errors: dict  # method -> scoring.Failure
 
 
 def _haar(rng, p):
@@ -232,9 +225,6 @@ def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
     p, n = cfg.p, cfg.n
     rng_train = substream(cfg.seed, "trial", t, "train")
     X = root @ _components(rng_train, cfg.component_dist, (p, n))
-    need_curve = any(m in SPECTRAL_METHODS for m in cfg.methods)
-    fit = fit_reference(X, need_curve=need_curve)
-
     rng_h0 = substream(cfg.seed, "trial", t, "test_h0")
     Y0 = root @ _components(rng_h0, cfg.component_dist, (p, cfg.tests_per_trial_h0))
     rng_h1 = substream(cfg.seed, "trial", t, "test_h1")
@@ -242,55 +232,30 @@ def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
     rng_sig = substream(cfg.seed, "trial", t, "signal")
     Y1 = Y1 + _signal(rng_sig, root, cfg.prior, gamma, cfg.tests_per_trial_h1)
 
-    scores, errors = {}, {}
-    for method in cfg.methods:
-        try:
-            scorer = build_scorer(
-                method,
-                fit,
-                cfg.prior,
-                tyler_rho=cfg.tyler_rho,
-                lappw_grid_points=cfg.lappw_grid_points,
-            )
-            z0, raw0 = scorer(Y0)
-            z1, raw1 = scorer(Y1)
-            scores[method] = {
-                "h0_z": z0,
-                "h0_raw": raw0,
-                "h1_z": z1,
-                "h1_raw": raw1,
-            }
-        except Exception as exc:  # recorded, trial continues for other methods
-            logger.warning("trial %d: method %s failed: %s", t, method, exc)
-            errors[method] = f"{type(exc).__name__}: {exc}"
+    scores, errors = fit_and_score(cfg, X, (Y0, Y1), t)
+    scores = {
+        method: {"h0_z": z0, "h0_raw": raw0, "h1_z": z1, "h1_raw": raw1}
+        for method, ((z0, raw0), (z1, raw1)) in scores.items()
+    }
     return TrialOutput(trial_index=t, scores=scores, errors=errors)
 
 
-def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int = 1):
+def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
     """Run the configured Monte-Carlo trials; deterministic given the seed.
 
     Sigma defaults to make_covariance(cfg.p, cfg.kappa, cfg.seed); pass an
-    explicit matrix to override the recipe.  The trial pool is the only
-    parallelism: it has min(threads, os.cpu_count(), trials) workers, and
-    BLAS runs at one thread throughout, so the scores do not depend on
-    either thread count.
+    explicit matrix to override the recipe.  The trials run through
+    scoring.map_indices (threads=None: one worker per core) with BLAS at
+    one thread, as do the covariance root and the gamma calibration, so
+    the scores depend on neither thread count.
     """
     if Sigma is None:
         Sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
-    workers = max(1, min(threads, os.cpu_count() or 1, cfg.trials))
     with single_threaded_blas():
         root = _spd_root(Sigma)
-        gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, Sigma)
-        indices = range(cfg.trials)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outputs = list(
-                    pool.map(lambda t: _run_one_trial(cfg, root, gamma, t), indices)
-                )
-        else:
-            outputs = [_run_one_trial(cfg, root, gamma, t) for t in indices]
-    outputs.sort(key=lambda o: o.trial_index)
-    return outputs
+    gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, Sigma)
+    task = lambda t: _run_one_trial(cfg, root, gamma, t)
+    return map_indices(task, cfg.trials, threads)
 
 
 def scores_csv_lines(outputs) -> list:
@@ -326,9 +291,6 @@ CONFIG_KEYS = {
     "methods": "methods",
     "lappw_grid_points": int,
     "tyler_rho": float,
-    "tail.mode": str,
-    "tail.c": float,
-    "tail.C": float,
 }
 
 
@@ -355,7 +317,6 @@ def config_from_text(text: str) -> ExperimentConfig:
     raw = parse_config_text(text)
     kwargs = {}
     prior_mode, prior_scale = "identity", 1.0
-    tail_kwargs = {}
     for key, value in raw.items():
         kind = CONFIG_KEYS[key]
         try:
@@ -363,10 +324,6 @@ def config_from_text(text: str) -> ExperimentConfig:
                 prior_mode = value
             elif key == "prior.scale":
                 prior_scale = float(value)
-            elif key == "tail.mode":
-                tail_kwargs["mode"] = value
-            elif key in ("tail.c", "tail.C"):
-                tail_kwargs[key.split(".")[1]] = float(value)
             elif kind == "gamma":
                 kwargs["gamma"] = None if value in ("auto", "none") else float(value)
             elif kind == "methods":
@@ -378,7 +335,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     kwargs["prior"] = PriorSpec(mode=prior_mode, scale=prior_scale)
-    kwargs["tail"] = TailConstants(**tail_kwargs)
     return ExperimentConfig(**kwargs)
 
 
@@ -394,10 +350,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         if f.name == "prior":
             lines.append(f"prior.mode = {value.mode}")
             lines.append(f"prior.scale = {value.scale:g}")
-        elif f.name == "tail":
-            lines.append(f"tail.mode = {value.mode}")
-            lines.append(f"tail.c = {value.c:g}")
-            lines.append(f"tail.C = {value.C:g}")
         elif f.name == "methods":
             lines.append(f"methods = {','.join(value)}")
         elif f.name == "gamma":

@@ -10,8 +10,8 @@ from scipy.stats import kstest
 
 from hdshrink.detector import (
     detection_criterion,
-    gamma_tilde,
-    sigma_tilde2,
+    gamma_tilde_all,
+    sigma_tilde2_batch,
     srht,
     standardize,
 )
@@ -172,7 +172,7 @@ def test_criterion_5_variance_estimator_consistency():
         shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
         oracle = float(np.einsum("ij,ji->", fS @ sigma, fS @ sigma)) / p
-        rel = abs(sigma_tilde2(shrink.values, curve) / oracle - 1.0)
+        rel = abs(sigma_tilde2_batch(shrink.values[None, :], curve)[0] / oracle - 1.0)
         worst = max(worst, rel)
     elapsed = time.time() - start
     _report(5, "variance estimator vs trace oracle", worst <= 0.15 and elapsed < 60,
@@ -334,7 +334,7 @@ def test_criterion_9_exactness_micro_suite():
         _, K = semicircle_kernel((lam[i] - lam[j]) / width)
         total += (f[j] - f[i]) * d[j] * K / width
     expected = f[i] - np.pi / n * total
-    got = gamma_tilde(f, lam, d, n, i)
+    got = gamma_tilde_all(f[None, :], lam, d, n)[0, i]
     checks.append(("gamma double loop", abs(got - expected) <= 1e-12))
 
     # pairwise AUC oracle with ties

@@ -10,8 +10,7 @@ import pytest
 import hdshrink
 import hdshrink.cli
 import hdshrink.linalg
-import hdshrink.rss
-import hdshrink.simulate
+import hdshrink.scoring
 from hdshrink.cli import main
 from hdshrink.errors import DegenerateStatisticError
 from hdshrink.rss import RssSeries, save_rss
@@ -61,24 +60,41 @@ def data_csv(tmp_path):
     return path
 
 
-def _fail_method(monkeypatch, module, failing):
-    """Make build_scorer, as looked up by `module`, raise for one method."""
-    real = module.build_scorer
+def _fail_method(monkeypatch, failing):
+    """Make the engine's build_scorer raise for one method."""
+    real = hdshrink.scoring.build_scorer
 
     def build_scorer(method, *args, **kwargs):
         if method == failing:
             raise DegenerateStatisticError(f"forced {method} failure")
         return real(method, *args, **kwargs)
 
-    monkeypatch.setattr(module, "build_scorer", build_scorer)
+    monkeypatch.setattr(hdshrink.scoring, "build_scorer", build_scorer)
 
 
-def _rss_inputs(tmp_path, config_text):
+def _errors_csv(out):
+    return (out / "errors.csv").read_text().splitlines()
+
+
+def _subprocess_env(blas):
+    """Environment running this checkout's hdshrink, with OPENBLAS_NUM_THREADS
+    unset (blas=None) or set to `blas`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hdshrink.__file__).parents[1])] + sys.path
+    )
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return env
+
+
+def _rss_inputs(tmp_path, config_text, T=90, p=4):
     rng = substream(2, "cli-rss")
-    T, p = 90, 4
     activity = np.zeros(T, dtype=bool)
-    activity[60:75] = True
+    activity[2 * T // 3 : 2 * T // 3 + T // 6] = True
     channels = rng.standard_normal((T, p))
+    if p > 4:  # correlated channels, so the spectrum is not flat
+        channels += rng.standard_normal((T, 5)) @ rng.standard_normal((5, p))
     channels[activity] += 2.5
     series = RssSeries(np.arange(T, dtype=float), channels, activity)
     data = tmp_path / "rss.csv"
@@ -96,6 +112,8 @@ class TestSimulateCommand:
         assert (out / "config_echo").read_text() == TINY_CONFIG
         manifest = (out / "manifest").read_text()
         assert "seed = 5" in manifest and "numpy_version" in manifest
+        assert f"threads = {min(os.cpu_count(), 2)}\n" in manifest  # 2 trials
+        assert _errors_csv(out) == ["trial,method,error_type,message"]
         header = (out / "scores.csv").read_text().splitlines()[0]
         assert header == "trial,method,label_h1,score_z,score_raw"
 
@@ -113,19 +131,14 @@ class TestSimulateCommand:
     def test_bytes_independent_of_blas_env_and_threads(self, tmp_path):
         cfg = tmp_path / "experiment.cfg"
         cfg.write_text(BLAS_SIZED_CONFIG)
-        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        base["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(hdshrink.__file__).parents[1])] + sys.path
-        )
         results = {}
         for blas in (None, "1", "2"):
-            env = dict(base) if blas is None else dict(base, OPENBLAS_NUM_THREADS=blas)
             for threads in ("1", "2"):
                 out = tmp_path / f"blas{blas}-threads{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "hdshrink.cli", "simulate", "--config",
                      str(cfg), "--out", str(out), "--threads", threads],
-                    env=env, check=True, capture_output=True,
+                    env=_subprocess_env(blas), check=True, capture_output=True,
                 )
                 gamma = [
                     line for line in (out / "manifest").read_text().splitlines()
@@ -154,10 +167,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
     def test_method_failures_reported(self, tmp_path, config_path, monkeypatch, capsys):
-        _fail_method(monkeypatch, hdshrink.simulate, "cq")
+        _fail_method(monkeypatch, "cq")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
         assert "simulate: 2 method failures: cq=2" in capsys.readouterr().out
+        assert _errors_csv(out) == [
+            "trial,method,error_type,message",
+            "0,cq,DegenerateStatisticError,forced cq failure",
+            "1,cq,DegenerateStatisticError,forced cq failure",
+        ]
 
 
 class TestRssCommand:
@@ -169,18 +187,48 @@ class TestRssCommand:
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "scores.csv").exists()
         assert (out / "roc.csv").exists()
+        assert _errors_csv(out) == ["trial,method,error_type,message"]
 
     def test_method_failures_reported(self, tmp_path, monkeypatch, capsys):
-        _fail_method(monkeypatch, hdshrink.rss, "cq")
+        _fail_method(monkeypatch, "cq")
         data, cfg = _rss_inputs(
             tmp_path, "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n"
         )
         out = tmp_path / "out"
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
         assert "rss: 2 method failures: cq=2" in capsys.readouterr().out
+        assert _errors_csv(out) == [
+            "trial,method,error_type,message",
+            "0,cq,DegenerateStatisticError,forced cq failure",
+            "1,cq,DegenerateStatisticError,forced cq failure",
+        ]
+
+    def test_bytes_independent_of_blas_env_and_threads(self, tmp_path):
+        # 120 channels and n = 240: large enough that OpenBLAS splits its
+        # products over threads when it is not pinned.
+        data, cfg = _rss_inputs(
+            tmp_path,
+            "n = 240\nresamples = 2\nseed = 1\ndetrend = moving_average\nwindow = 51\n",
+            T=400,
+            p=120,
+        )
+        results = {}
+        for blas in (None, "1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}-threads{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "hdshrink.cli", "rss", "--data", str(data),
+                     "--config", str(cfg), "--out", str(out), "--threads", threads],
+                    env=_subprocess_env(blas), check=True, capture_output=True,
+                )
+                results[blas, threads] = tuple(
+                    (out / name).read_bytes() for name in ("scores.csv", "roc.csv")
+                )
+        reference = results[None, "1"]
+        assert [k for k, v in results.items() if v != reference] == []
 
     def test_every_method_failing_exits_4(self, tmp_path, monkeypatch, capsys):
-        _fail_method(monkeypatch, hdshrink.rss, "cq")
+        _fail_method(monkeypatch, "cq")
         data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 2\nmethods = cq\nseed = 3\n")
         out = tmp_path / "out"
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 4
@@ -248,6 +296,12 @@ class TestRocCommand:
             ["roc", "--scores", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roc", "--scores", "s.csv", "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -6,11 +6,10 @@ import pytest
 from hdshrink.detector import (
     TailConstants,
     detection_criterion,
-    gamma_tilde,
     gamma_tilde_all,
     mu_tilde,
     power_bound,
-    sigma_tilde2,
+    sigma_tilde2_batch,
     significance_bound,
     srht,
     srht_many,
@@ -98,10 +97,9 @@ class TestGammaTilde:
     def test_constant_passthrough(self, identity_fit):
         _, _, curve = identity_fit
         f = np.full(200, 2.5)
+        vals = gamma_tilde_all(f[None, :], curve.lam, curve.d_tilde, curve.n)[0]
         for i in (0, 100, 199):
-            assert gamma_tilde(f, curve.lam, curve.d_tilde, curve.n, i) == pytest.approx(
-                2.5, abs=1e-12
-            )
+            assert vals[i] == pytest.approx(2.5, abs=1e-12)
 
     def test_large_n_limit_recovers_f(self):
         lam = np.linspace(0.5, 2.0, 10)
@@ -123,27 +121,29 @@ class TestGammaTilde:
                 _, K = semicircle_kernel((lam[i] - lam[j]) / width)
                 total += (f[j] - f[i]) * d[j] * K / width
             expected = f[i] - np.pi / n * total
-            got = gamma_tilde(f, lam, d, n, i)
+            got = gamma_tilde_all(f[None, :], lam, d, n)[0, i]
             assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestSigmaTilde2:
     def test_zero_shrinker(self, identity_fit):
         _, _, curve = identity_fit
-        assert sigma_tilde2(np.zeros(200), curve) == 0.0
+        assert sigma_tilde2_batch(np.zeros((1, 200)), curve)[0] == 0.0
 
     def test_constant_reduction(self, identity_fit):
         _, _, curve = identity_fit
         c = 1.7
         expected = c * c * np.mean(curve.lam * curve.d_tilde)
-        assert sigma_tilde2(np.full(200, c), curve) == pytest.approx(expected, rel=1e-12)
+        got = sigma_tilde2_batch(np.full((1, 200), c), curve)[0]
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_within_15_percent_of_trace_oracle(self, identity_fit):
         _, spec, curve = identity_fit
         shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
         oracle = np.trace(fS @ fS) / spec.p  # Sigma = I
-        assert sigma_tilde2(shrink.values, curve) == pytest.approx(oracle, rel=0.15)
+        got = sigma_tilde2_batch(shrink.values[None, :], curve)[0]
+        assert got == pytest.approx(oracle, rel=0.15)
 
 
 class TestStandardize:

@@ -4,9 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import hdshrink.scoring
 import hdshrink.simulate
+from hdshrink.cli import main
 from hdshrink.errors import ConfigError, DataError, DomainError
 from hdshrink.linalg import blas_thread_control, sample_covariance
+from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
 from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
@@ -171,7 +174,7 @@ class TestRunTrials:
         try:
             before = get()
             seen = []
-            real = hdshrink.simulate._run_one_trial
+            real = hdshrink.simulate.fit_and_score
 
             def spy(*args):
                 seen.append(get())
@@ -180,11 +183,11 @@ class TestRunTrials:
             def failing(*args):
                 raise RuntimeError("trial failed")
 
-            monkeypatch.setattr(hdshrink.simulate, "_run_one_trial", spy)
+            monkeypatch.setattr(hdshrink.simulate, "fit_and_score", spy)
             run_trials(SMALL, threads=2)
             assert seen == [1] * SMALL.trials
             assert get() == before
-            monkeypatch.setattr(hdshrink.simulate, "_run_one_trial", failing)
+            monkeypatch.setattr(hdshrink.simulate, "fit_and_score", failing)
             with pytest.raises(RuntimeError):
                 run_trials(SMALL, threads=2)
             assert get() == before
@@ -199,12 +202,22 @@ class TestRunTrials:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(hdshrink.simulate, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(hdshrink.simulate.os, "cpu_count", lambda: 2)
+        rng = substream(3, "clamp")
+        activity = np.arange(60) % 10 == 0
+        series = RssSeries(np.arange(60.0), rng.standard_normal((60, 3)), activity)
+        rss_cfg = RssExperimentConfig(n=20, resamples=5, methods=("cq",))
+
+        monkeypatch.setattr(hdshrink.scoring, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(hdshrink.scoring.os, "cpu_count", lambda: 2)
         run_trials(SMALL, threads=8)
-        monkeypatch.setattr(hdshrink.simulate.os, "cpu_count", lambda: 16)
+        rss_experiment(series, rss_cfg, threads=8)
+        run_trials(SMALL)  # default: the core count
+        monkeypatch.setattr(hdshrink.scoring.os, "cpu_count", lambda: 16)
         run_trials(SMALL, threads=8)
-        assert sizes == [2, SMALL.trials]
+        rss_experiment(series, rss_cfg, threads=8)
+        run_trials(SMALL)
+        rss_experiment(series, rss_cfg)
+        assert sizes == [2, 2, 2, SMALL.trials, 5, SMALL.trials, 5]
 
     def test_method_failures_recorded_per_trial(self):
         cfg = ExperimentConfig(
@@ -366,12 +379,16 @@ class TestConfigFile:
         assert cfg.methods == ("proposed", "identity")
         assert cfg.prior.mode == "covariance_matched"
 
-    def test_tail_keys(self):
-        cfg = config_from_text(
-            "tail.mode = hanson_wright\ntail.c = 0.25\ntail.C = 1.5\n"
-        )
-        assert cfg.tail.mode == "hanson_wright"
-        assert cfg.tail.c == 0.25 and cfg.tail.C == 1.5
+    @pytest.mark.parametrize(
+        "line", ["tail.mode = hanson_wright", "tail.c = 0.25"], ids=["mode", "c"]
+    )
+    def test_tail_keys_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg"
+        path.write_text(f"p = 44\n{line}\n")
+        with pytest.raises(ConfigError, match="line 2: unknown key 'tail"):
+            load_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
 
 
 class TestSubstream:
