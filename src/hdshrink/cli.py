@@ -44,8 +44,18 @@ from .simulate import (
 )
 
 
-def _write_manifest(path, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_manifest(out, seed, threads, *extra) -> None:
+    """out/manifest: the seed, any extra (key, value) pairs, the resolved
+    worker count, the BLAS pin and the versions, one `key = value` a line."""
+    entries = [
+        ("seed", seed),
+        *extra,
+        ("threads", threads),
+        ("blas_threads", 1 if blas_thread_control() else "unpinned"),
+        ("hdshrink_version", __version__),
+        ("numpy_version", np.__version__),
+    ]
+    with open(os.path.join(out, "manifest"), "w", encoding="utf-8") as fh:
         for key, value in entries:
             fh.write(f"{key} = {value}\n")
 
@@ -76,17 +86,7 @@ def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as src:
         with open(os.path.join(args.out, "config_echo"), "w", encoding="utf-8") as dst:
             dst.write(src.read())
-    _write_manifest(
-        os.path.join(args.out, "manifest"),
-        [
-            ("seed", cfg.seed),
-            ("gamma", f"{gamma:.17g}"),
-            ("threads", threads),
-            ("blas_threads", 1 if blas_thread_control() else "unpinned"),
-            ("hdshrink_version", __version__),
-            ("numpy_version", np.__version__),
-        ],
-    )
+    _write_manifest(args.out, cfg.seed, threads, ("gamma", f"{gamma:.17g}"))
     failures = [f for o in outputs for f in o.errors.values()]
     _report_failures("simulate", failures, args.out)
     print(f"simulate: wrote {args.out}/scores.csv")
@@ -100,9 +100,11 @@ def _cmd_rss(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     series = load_rss(args.data)
-    rows, curves = rss_experiment(series, cfg, threads=args.threads)
+    threads = worker_count(args.threads, cfg.resamples)
+    rows, curves = rss_experiment(series, cfg, threads=threads)
     failures = [r["error"] for r in rows if "error" in r]
     os.makedirs(args.out, exist_ok=True)
+    _write_manifest(args.out, cfg.seed, threads)
     _report_failures("rss", failures, args.out)
     if failures and not curves:
         counts = collections.Counter(f.method for f in failures)

@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra: sample covariance, eigendecomposition,
-spectral function application, and quadratic forms, plus control of the
-BLAS thread count.
+spectral function application, quadratic forms and triangular solves, plus
+control of the BLAS thread count.
 
 Data matrices are p x n arrays whose columns are observations.  All
 operations are pure; returned arrays are freshly allocated.
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericError
 
 SYMMETRY_RTOL = 1e-12
+FORWARD_BLOCK = 64  # rows per diagonal block in forward_substitute
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,6 +155,21 @@ def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
             f"vector length {v.shape} does not match matrix dimension {M.shape[0]}"
         )
     return float(v @ M @ v)
+
+
+def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a nonsingular lower-triangular L, by blocked forward
+    substitution: each block of FORWARD_BLOCK rows is solved with the
+    inverse of its diagonal block, then eliminated from the rows below, so
+    the work is matrix products throughout."""
+    Y = np.array(B, dtype=float, order="C")
+    p = L.shape[0]
+    for k in range(0, p, FORWARD_BLOCK):
+        e = min(k + FORWARD_BLOCK, p)
+        Y[k:e] = np.linalg.inv(L[k:e, k:e]) @ Y[k:e]
+        if e < p:
+            Y[e:] -= L[e:, k:e] @ Y[k:e]
+    return Y
 
 
 def save_matrix(path, M: np.ndarray) -> None:

@@ -34,11 +34,14 @@ SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
 
 @dataclass(frozen=True)
 class FittedReference:
-    """Everything derived from one reference sample."""
+    """Everything derived from one reference sample; curve and kmat (the
+    curve's kernel_matrix, shared by every spectral method) are None when
+    no curve was fitted."""
 
     xbar: np.ndarray
     spec: Spectrum
     curve: Optional[LwCurve]
+    kmat: Optional[np.ndarray]
     X: np.ndarray
 
 
@@ -46,19 +49,20 @@ def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
     X = np.asarray(X, dtype=float)
     S = sample_covariance(X)
     spec = eigh(S, X.shape[1])
-    curve = None
+    curve = kmat = None
     if need_curve:
         curve = lw_curve(spec.eigenvalues, X.shape[0], X.shape[1])
-    return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
+        kmat = kernel_matrix(curve.lam, curve.n, curve.bandwidth_exponent)
+    return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, kmat=kmat, X=X)
 
 
 class _SpectralScorer:
-    def __init__(self, fit: FittedReference, values: np.ndarray, kmat):
+    def __init__(self, fit: FittedReference, values: np.ndarray):
         self.fit = fit
         self.values = values
         p = fit.spec.p
         self.mu = detector.mu_tilde(values, fit.curve.d_tilde)
-        self.sigma = detector.standardization_scale(values, fit.curve, kmat=kmat)
+        self.sigma = detector.standardization_scale(values, fit.curve, kmat=fit.kmat)
         self.p = p
 
     def __call__(self, Y: np.ndarray):
@@ -103,19 +107,18 @@ def build_scorer(method, fit, prior, tyler_rho=0.1, lappw_grid_points=10_000):
     """Construct a callable Y -> (z_scores, raw_scores) for one method."""
     if method in SPECTRAL_METHODS:
         curve = fit.curve
-        kmat = kernel_matrix(curve.lam, curve.n, curve.bandwidth_exponent)
         if method == "proposed":
-            values = shrinkers.proposed_shrinker(curve, prior)[0].values
+            values = shrinkers.proposed_shrinker(curve, prior, kmat=fit.kmat)[0].values
         elif method == "lw":
             values = shrinkers.lw_comparator(curve).values
         elif method == "lappw":
-            b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points)
+            b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points, kmat=fit.kmat)
             values = shrinkers.ridge_shrinker(curve.lam, b, label="lappw").values
         elif method == "hotelling":
             values = shrinkers.hotelling_shrinker(curve.lam).values
         else:
             values = shrinkers.identity_shrinker(curve.p).values
-        return _SpectralScorer(fit, values, kmat)
+        return _SpectralScorer(fit, values)
     if method == "tyler":
         return _TylerScorer(fit, tyler_rho)
     if method == "cq":

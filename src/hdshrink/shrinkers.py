@@ -20,6 +20,7 @@ from .errors import (
     NumericError,
     RegimeError,
 )
+from .linalg import forward_substitute
 from .mpkernel import (
     DensityOracle,
     LwCurve,
@@ -90,7 +91,7 @@ def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     return prior.scale * np.asarray(curve.d_tilde, dtype=float)
 
 
-def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
+def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None, kmat=None):
     """Criterion-optimal shrinker values at the sample eigenvalues.
 
     With Kmat[j, i] the scaled Hilbert kernel of eigenvalue j at
@@ -104,7 +105,8 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
         f(x_i)  = xi_i - p^{-1} sum_j eta_j Kmat[j, i]
 
     clipped at zero after the full evaluation.  Returns the curve and the
-    intermediates.  An explicit hbar vector overrides the prior's weights.
+    intermediates.  An explicit hbar vector overrides the prior's weights;
+    kmat, when given, is the curve's kernel_matrix.
     """
     lam = curve.lam
     p = curve.p
@@ -123,7 +125,8 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
     if np.any(denom <= eps_den(lam)):
         raise NumericError("shrinkage denominator d(lam) * lam underflowed its floor")
 
-    kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
+    if kmat is None:
+        kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
     H_n = (hbar @ kmat) / p
     g_n = 1.0 - phi - phi * np.pi * lam * curve.hw_tilde
     Gbar_n = -phi * np.pi * lam
@@ -214,19 +217,21 @@ def ridge_shrinker(lam, b: float, label: str = "ridge") -> ShrinkageCurve:
 
 
 def lappw_select_b(
-    curve: LwCurve, prior: PriorSpec, grid_points: int = 10_000
+    curve: LwCurve, prior: PriorSpec, grid_points: int = 10_000, kmat=None
 ) -> float:
     """Intercept for the ridge family maximizing the detection criterion.
 
     Searches a log-spaced grid on [mean(lam), 20 max(lam)]; exact argmax
-    over the grid with ties broken toward the smaller intercept.
+    over the grid with ties broken toward the smaller intercept.  kmat, when
+    given, is the curve's kernel_matrix.
     """
     if grid_points < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid_points}")
     lam = curve.lam
     hbar = hbar_values(prior, curve)
     bs = np.geomspace(lam.mean(), 20.0 * lam.max(), int(grid_points))
-    kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
+    if kmat is None:
+        kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
     best_u = -np.inf
     best_b = bs[0]
     chunk = 4096
@@ -271,12 +276,13 @@ def tyler_estimator(
     residual = np.inf
     for _ in range(max_iter):
         try:
-            solved = np.linalg.solve(sigma, Xc)
+            L = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
-            raise NumericError(f"scatter iterate became singular: {exc}") from exc
-        q = np.einsum("ij,ij->j", Xc, solved)
-        if np.any(q <= 0):
-            raise NumericError("scatter iterate lost positive definiteness")
+            raise NumericError(
+                f"scatter iterate lost positive definiteness: {exc}"
+            ) from exc
+        Z = forward_substitute(L, Xc)
+        q = np.einsum("ij,ij->j", Z, Z)  # x_i' sigma^{-1} x_i
         W = Xc / np.sqrt(q)
         updated = W @ W.T  # symmetric product: numpy calls syrk
         updated *= (1.0 - rho) * (p / n)

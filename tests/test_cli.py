@@ -189,6 +189,22 @@ class TestRssCommand:
         assert (out / "roc.csv").exists()
         assert _errors_csv(out) == ["trial,method,error_type,message"]
 
+    def test_manifest(self, tmp_path):
+        data, cfg = _rss_inputs(
+            tmp_path, "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n"
+        )
+        out = tmp_path / "out"
+        args = ["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]
+        assert main(args + ["--seed", "9", "--threads", "5"]) == 0
+        manifest = (out / "manifest").read_text()
+        assert [line.split(" = ")[0] for line in manifest.splitlines()] == [
+            "seed", "threads", "blas_threads", "hdshrink_version", "numpy_version"
+        ]
+        assert "seed = 9\n" in manifest
+        assert f"threads = {min(os.cpu_count(), 2)}\n" in manifest  # 2 resamples
+        assert f"hdshrink_version = {hdshrink.__version__}\n" in manifest
+        assert f"numpy_version = {np.__version__}\n" in manifest
+
     def test_method_failures_reported(self, tmp_path, monkeypatch, capsys):
         _fail_method(monkeypatch, "cq")
         data, cfg = _rss_inputs(

@@ -5,6 +5,7 @@ from hdshrink.errors import DataError, DimensionError
 from hdshrink.linalg import (
     apply_spectral,
     eigh,
+    forward_substitute,
     load_matrix,
     load_vector,
     quadratic_form,
@@ -134,6 +135,22 @@ class TestApplySpectral:
             M = apply_spectral(spec, c)
             back = eigh(M, 10).eigenvalues
             assert np.abs(back - np.sort(c)).max() <= 1e-8
+
+
+class TestForwardSubstitute:
+    @pytest.mark.parametrize("p", [1, 63, 64, 65, 130])
+    def test_matches_solve(self, p):
+        # p around the 64-row block: below it, at it, one row past it, and
+        # three blocks.
+        rng = np.random.default_rng(p)
+        G = rng.standard_normal((p, p))
+        L = np.linalg.cholesky(np.eye(p) + G @ G.T / p)  # condition <= ~5
+        B = rng.standard_normal((p, 14))[:, ::2]  # non-contiguous columns
+        before = B.copy()
+        Y = forward_substitute(L, B)
+        ref = np.linalg.solve(L, B)
+        assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(B, before)
 
 
 class TestQuadraticForm:

@@ -6,6 +6,7 @@ from hdshrink.errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    NumericError,
     RegimeError,
 )
 from hdshrink.linalg import apply_spectral, eigh, sample_covariance
@@ -208,6 +209,33 @@ class TestLappwSelectB:
             lappw_select_b(curve, PriorSpec("identity"), 1)
 
 
+def _tyler_input(p, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return np.geomspace(1.0, 10.0, p)[:, None] * rng.standard_normal((p, n))
+
+
+def _tyler_lu_reference(X, rho=0.1, tol=1e-8, max_iter=500):
+    """The fixed point with q from an LU solve per iteration, as
+    tyler_estimator computed it before it worked on a Cholesky factor.
+    Returns the estimate and the number of iterations taken."""
+    p, n = X.shape
+    Xc = X - X.mean(axis=1, keepdims=True)
+    sigma = np.eye(p)
+    for it in range(1, max_iter + 1):
+        q = np.einsum("ij,ij->j", Xc, np.linalg.solve(sigma, Xc))
+        W = Xc / np.sqrt(q)
+        updated = W @ W.T
+        updated *= (1.0 - rho) * (p / n)
+        updated[np.diag_indices(p)] += rho
+        updated *= p / np.trace(updated)
+        updated = (updated + updated.T) / 2.0
+        residual = np.linalg.norm(updated - sigma) / np.linalg.norm(sigma)
+        sigma = updated
+        if residual <= tol:
+            return sigma, it
+    raise AssertionError("reference did not converge")
+
+
 class TestTylerEstimator:
     def test_scale_invariance_exact(self):
         rng = np.random.default_rng(2)
@@ -251,6 +279,29 @@ class TestTylerEstimator:
     def test_rho_validated(self):
         with pytest.raises(DomainError):
             tyler_estimator(np.ones((2, 4)), rho=1.0)
+
+    @pytest.mark.parametrize("p, n", [(50, 90), (200, 300)])
+    def test_matches_lu_solve_reference(self, p, n):
+        X = _tyler_input(p, n)
+        ref, _ = _tyler_lu_reference(X)
+        T = tyler_estimator(X)
+        assert np.abs(T - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p, n", [(50, 90), (200, 300)])
+    def test_same_iteration_count_as_lu_solve_reference(self, p, n):
+        X = _tyler_input(p, n)
+        _, iters = _tyler_lu_reference(X)
+        with pytest.raises(ConvergenceError):
+            tyler_estimator(X, max_iter=iters - 1)
+        tyler_estimator(X, max_iter=iters)
+
+    def test_non_positive_definite_iterate_raises(self):
+        # A coordinate that is zero in every sample leaves a zero row and
+        # column in the unregularized update, so the next factorization fails.
+        X = _tyler_input(6, 40)
+        X[-1] = 0.0
+        with pytest.raises(NumericError, match="positive definiteness"):
+            tyler_estimator(X, rho=0.0)
 
 
 class TestSimpleShrinkers:

@@ -4,7 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import hdshrink.detector
 import hdshrink.scoring
+import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
 from hdshrink.errors import ConfigError, DataError, DomainError
@@ -114,6 +116,24 @@ class TestSampleTest:
 
 
 class TestRunTrials:
+    def test_one_kernel_matrix_per_fit(self, monkeypatch):
+        cfg = ExperimentConfig(
+            p=44, n=70, kappa=10.0, gamma=2.0, trials=1, tests_per_trial_h0=4,
+            tests_per_trial_h1=4, seed=3, lappw_grid_points=50,
+        )
+        real = hdshrink.scoring.kernel_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (hdshrink.scoring, hdshrink.shrinkers, hdshrink.detector):
+            monkeypatch.setattr(module, "kernel_matrix", counting)
+        out = run_trials(cfg, Sigma=make_covariance(cfg.p, cfg.kappa, cfg.seed), threads=1)[0]
+        assert out.errors == {}
+        assert len(calls) == 1
+
     def test_identity_method_reduces_to_squared_distance(self):
         cfg = ExperimentConfig(
             p=50,
