@@ -6,6 +6,8 @@ and largest sample eigenvalues.  The inverse 1/lambda explodes on the left
 edge; the criterion-optimal curve does not.
 """
 
+import numpy as np
+
 from hdshrink import (
     PriorSpec,
     eigh,
@@ -18,12 +20,14 @@ from hdshrink import (
     proposed_shrinker,
     ridge_shrinker,
     sample_covariance,
-    sample_training,
 )
+from hdshrink.simulate import substream
 
 p, n, kappa = 200, 300, 1e2
 sigma = make_covariance(p, kappa, seed=1)
-X = sample_training(sigma, n, "uniform", seed=1)
+vals, vecs = np.linalg.eigh(sigma)
+root = (vecs * np.sqrt(vals)) @ vecs.T
+X = root @ substream(1, "train").uniform(-np.sqrt(3.0), np.sqrt(3.0), (p, n))
 spec = eigh(sample_covariance(X), n)
 curve = lw_curve(spec.eigenvalues, p, n)
 prior = PriorSpec("identity")

@@ -4,17 +4,12 @@ detection when the dimension is comparable to the sample size."""
 __version__ = "0.1.0"
 
 from .detector import (
-    CriterionValue,
-    DetectionScore,
-    TailConstants,
-    detection_criterion,
+    Standardizer,
+    criterion_batch,
     gamma_tilde_all,
     mu_tilde,
-    power_bound,
     sigma_tilde2_batch,
-    significance_bound,
-    srht,
-    standardize,
+    srht_many,
 )
 from .errors import (
     ConfigError,
@@ -61,6 +56,4 @@ from .simulate import (
     calibrate_gamma,
     make_covariance,
     run_trials,
-    sample_test,
-    sample_training,
 )

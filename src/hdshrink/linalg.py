@@ -172,11 +172,6 @@ def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return Y
 
 
-def save_matrix(path, M: np.ndarray) -> None:
-    """Write a matrix or vector as headerless comma-separated rows."""
-    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)), delimiter=",")
-
-
 def load_matrix(path) -> np.ndarray:
     """Read a headerless comma-separated matrix; shape is inferred."""
     try:
@@ -186,11 +181,3 @@ def load_matrix(path) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise DataError(f"matrix CSV {path} contains non-finite entries")
     return M
-
-
-def load_vector(path) -> np.ndarray:
-    """Read a vector stored as one CSV row or one value per line."""
-    M = load_matrix(path)
-    if 1 not in M.shape:
-        raise DimensionError(f"expected a vector in {path}, got shape {M.shape}")
-    return M.ravel()

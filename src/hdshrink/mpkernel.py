@@ -9,7 +9,7 @@ k(x) = sqrt((4 - x^2)_+) / (2 pi) with K = Hk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,32 +78,36 @@ def hilbert_estimate(lam, n, x, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT):
 
 
 def kernel_matrix(lam, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT):
-    """Matrix K_mat[j, i] = K((lam_i - lam_j) / (D lam_j)) / (D lam_j).
+    """Density and Hilbert bump matrices (k_mat, K_mat) at the eigenvalues,
+    K_mat[j, i] = K((lam_i - lam_j) / (D lam_j)) / (D lam_j), and k_mat
+    likewise with k.
 
-    Row j is the scaled Hilbert-kernel bump centred at lam_j, evaluated at
-    every eigenvalue; shared by the shrinkage-curve and standardization sums.
+    Row j is the scaled bump centred at lam_j, evaluated at every
+    eigenvalue; the column means are the density and Hilbert estimates at
+    lam_i.
     """
     lam = _check_spectrum(lam)
     delta = float(n) ** bandwidth_exponent
     width = delta * lam[:, None]
     t = (lam[None, :] - lam[:, None]) / width
-    _, K = semicircle_kernel(t)
-    return K / width
+    k, K = semicircle_kernel(t)
+    return k / width, K / width
 
 
 @dataclass(frozen=True)
 class LwCurve:
     """Kernel density, Hilbert transform, and shrinkage values at the
-    sample eigenvalues, with the aspect ratio and bandwidth that produced
-    them."""
+    sample eigenvalues, the Hilbert bump matrix K_mat of kernel_matrix
+    (shared by the shrinker and standardization sums), and the aspect ratio
+    and sample size that produced them."""
 
     lam: np.ndarray
     w_tilde: np.ndarray
     hw_tilde: np.ndarray
     d_tilde: np.ndarray
+    hilbert_matrix: np.ndarray = field(repr=False)
     phi_n: float
     n: int
-    bandwidth_exponent: float = DEFAULT_BANDWIDTH_EXPONENT
 
     @property
     def p(self) -> int:
@@ -127,8 +131,11 @@ def lw_curve(lam, p, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT) -> LwCurv
     if p >= n:
         raise RegimeError(f"shrinkage curve requires p < n, got p={p}, n={n}")
     phi = p / n
-    w = density_estimate(lam, n, lam, bandwidth_exponent)
-    hw = hilbert_estimate(lam, n, lam, bandwidth_exponent)
+    dmat, hmat = kernel_matrix(lam, n, bandwidth_exponent)
+    # Means over j in [i, j] order: the same sums as density_estimate and
+    # hilbert_estimate at x = lam, bit for bit.
+    w = np.ascontiguousarray(dmat.T).mean(axis=1)
+    hw = np.ascontiguousarray(hmat.T).mean(axis=1)
     den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (
         phi * np.pi * lam * w
     ) ** 2
@@ -138,9 +145,9 @@ def lw_curve(lam, p, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT) -> LwCurv
         w_tilde=w,
         hw_tilde=hw,
         d_tilde=d,
+        hilbert_matrix=hmat,
         phi_n=phi,
         n=int(n),
-        bandwidth_exponent=bandwidth_exponent,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
 from .evaluate import roc
-from .scoring import METHODS, fit_and_score, map_indices
+from .scoring import check_methods, fit_and_score, map_indices
 from .shrinkers import PriorSpec
 from .simulate import substream
 
@@ -194,9 +194,7 @@ class RssExperimentConfig:
                 f"detrend = moving_average needs a positive odd window, "
                 f"got {self.window}"
             )
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}")
+        check_methods(self.methods)
 
 
 def rss_experiment(

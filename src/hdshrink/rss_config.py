@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import ConfigError
 from .rss import RssExperimentConfig
 from .shrinkers import PriorSpec
 from .simulate import parse_config_text
@@ -22,25 +21,10 @@ RSS_CONFIG_KEYS = {
 
 
 def rss_config_from_text(text: str) -> RssExperimentConfig:
-    kwargs = {}
-    prior_mode, prior_scale = "covariance_matched", 1.0
-    for key, value in parse_config_text(text, RSS_CONFIG_KEYS).items():
-        kind = RSS_CONFIG_KEYS[key]
-        try:
-            if key == "prior.mode":
-                prior_mode = value
-            elif key == "prior.scale":
-                prior_scale = float(value)
-            elif kind == "methods":
-                kwargs["methods"] = tuple(
-                    m.strip() for m in value.split(",") if m.strip()
-                )
-            else:
-                kwargs[key] = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    kwargs["prior"] = PriorSpec(mode=prior_mode, scale=prior_scale)
-    return RssExperimentConfig(**kwargs)
+    kwargs = parse_config_text(text, RSS_CONFIG_KEYS)
+    mode = kwargs.pop("prior.mode", "covariance_matched")
+    scale = kwargs.pop("prior.scale", 1.0)
+    return RssExperimentConfig(prior=PriorSpec(mode, scale), **kwargs)
 
 
 def load_rss_config(path) -> RssExperimentConfig:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 from . import detector, shrinkers
 from .errors import ConfigError
 from .linalg import Spectrum, eigh, sample_covariance, single_threaded_blas
-from .mpkernel import LwCurve, kernel_matrix, lw_curve
+from .mpkernel import LwCurve, lw_curve
 
 logger = logging.getLogger(__name__)
 
@@ -34,14 +33,12 @@ SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
 
 @dataclass(frozen=True)
 class FittedReference:
-    """Everything derived from one reference sample; curve and kmat (the
-    curve's kernel_matrix, shared by every spectral method) are None when
-    no curve was fitted."""
+    """Everything derived from one reference sample; curve is None when no
+    curve was fitted."""
 
     xbar: np.ndarray
     spec: Spectrum
     curve: Optional[LwCurve]
-    kmat: Optional[np.ndarray]
     X: np.ndarray
 
 
@@ -49,26 +46,28 @@ def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
     X = np.asarray(X, dtype=float)
     S = sample_covariance(X)
     spec = eigh(S, X.shape[1])
-    curve = kmat = None
-    if need_curve:
-        curve = lw_curve(spec.eigenvalues, X.shape[0], X.shape[1])
-        kmat = kernel_matrix(curve.lam, curve.n, curve.bandwidth_exponent)
-    return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, kmat=kmat, X=X)
+    curve = lw_curve(spec.eigenvalues, X.shape[0], X.shape[1]) if need_curve else None
+    return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
+
+
+def check_methods(methods) -> None:
+    """Reject an empty method list or an unknown method (ConfigError)."""
+    if not methods:
+        raise ConfigError("methods must name at least one method")
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ConfigError(f"unknown methods {sorted(unknown)}")
 
 
 class _SpectralScorer:
     def __init__(self, fit: FittedReference, values: np.ndarray):
         self.fit = fit
         self.values = values
-        p = fit.spec.p
-        self.mu = detector.mu_tilde(values, fit.curve.d_tilde)
-        self.sigma = detector.standardization_scale(values, fit.curve, kmat=fit.kmat)
-        self.p = p
+        self.to_z = detector.Standardizer(values, fit.curve)
 
     def __call__(self, Y: np.ndarray):
         raw = detector.srht_many(Y, self.fit.xbar, self.fit.spec, self.values)
-        z = (raw - self.mu * self.p) / (self.sigma * math.sqrt(self.p))
-        return z, raw
+        return self.to_z(raw), raw
 
 
 class _TylerScorer:
@@ -108,11 +107,11 @@ def build_scorer(method, fit, prior, tyler_rho=0.1, lappw_grid_points=10_000):
     if method in SPECTRAL_METHODS:
         curve = fit.curve
         if method == "proposed":
-            values = shrinkers.proposed_shrinker(curve, prior, kmat=fit.kmat)[0].values
+            values = shrinkers.proposed_shrinker(curve, prior)[0].values
         elif method == "lw":
             values = shrinkers.lw_comparator(curve).values
         elif method == "lappw":
-            b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points, kmat=fit.kmat)
+            b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points)
             values = shrinkers.ridge_shrinker(curve.lam, b, label="lappw").values
         elif method == "hotelling":
             values = shrinkers.hotelling_shrinker(curve.lam).values

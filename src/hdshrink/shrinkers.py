@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import detection_criterion, sigma_tilde2_batch
+from .detector import criterion_batch
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -25,7 +25,6 @@ from .mpkernel import (
     DensityOracle,
     LwCurve,
     eps_den,
-    kernel_matrix,
     pv_hilbert,
     pv_hilbert_nodes,
 )
@@ -91,11 +90,11 @@ def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     return prior.scale * np.asarray(curve.d_tilde, dtype=float)
 
 
-def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None, kmat=None):
+def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
     """Criterion-optimal shrinker values at the sample eigenvalues.
 
     With Kmat[j, i] the scaled Hilbert kernel of eigenvalue j at
-    eigenvalue i:
+    eigenvalue i (the curve's hilbert_matrix):
 
         H(x_i)  = p^{-1} sum_j hbar_j Kmat[j, i]
         g(x)    = 1 - phi - phi pi x Hw~(x)
@@ -105,8 +104,7 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None, kmat=None):
         f(x_i)  = xi_i - p^{-1} sum_j eta_j Kmat[j, i]
 
     clipped at zero after the full evaluation.  Returns the curve and the
-    intermediates.  An explicit hbar vector overrides the prior's weights;
-    kmat, when given, is the curve's kernel_matrix.
+    intermediates.  An explicit hbar vector overrides the prior's weights.
     """
     lam = curve.lam
     p = curve.p
@@ -125,14 +123,13 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None, kmat=None):
     if np.any(denom <= eps_den(lam)):
         raise NumericError("shrinkage denominator d(lam) * lam underflowed its floor")
 
-    if kmat is None:
-        kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
-    H_n = (hbar @ kmat) / p
+    K = curve.hilbert_matrix
+    H_n = (hbar @ K) / p
     g_n = 1.0 - phi - phi * np.pi * lam * curve.hw_tilde
     Gbar_n = -phi * np.pi * lam
     xi_n = (g_n * g_n * hbar + g_n * Gbar_n * H_n) / denom
     eta_n = (Gbar_n * Gbar_n * H_n + Gbar_n * g_n * hbar) / denom
-    f = xi_n - (eta_n @ kmat) / p
+    f = xi_n - (eta_n @ K) / p
     values = np.maximum(f, 0.0)
     inter = ProposedShrinkIntermediates(
         H_n=H_n, g_n=g_n, Gbar_n=Gbar_n, xi_n=xi_n, eta_n=eta_n
@@ -217,30 +214,24 @@ def ridge_shrinker(lam, b: float, label: str = "ridge") -> ShrinkageCurve:
 
 
 def lappw_select_b(
-    curve: LwCurve, prior: PriorSpec, grid_points: int = 10_000, kmat=None
+    curve: LwCurve, prior: PriorSpec, grid_points: int = 10_000
 ) -> float:
     """Intercept for the ridge family maximizing the detection criterion.
 
     Searches a log-spaced grid on [mean(lam), 20 max(lam)]; exact argmax
-    over the grid with ties broken toward the smaller intercept.  kmat, when
-    given, is the curve's kernel_matrix.
+    over the grid with ties broken toward the smaller intercept.
     """
     if grid_points < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid_points}")
     lam = curve.lam
     hbar = hbar_values(prior, curve)
     bs = np.geomspace(lam.mean(), 20.0 * lam.max(), int(grid_points))
-    if kmat is None:
-        kmat = kernel_matrix(lam, curve.n, curve.bandwidth_exponent)
     best_u = -np.inf
     best_b = bs[0]
     chunk = 4096
     for start in range(0, bs.size, chunk):
         bchunk = bs[start : start + chunk]
-        F = 1.0 / (lam[None, :] + bchunk[:, None])
-        num = F @ hbar / lam.size
-        s2 = sigma_tilde2_batch(F, curve, kmat=kmat)
-        u = num / np.sqrt(2.0 * s2)
+        u = criterion_batch(1.0 / (lam[None, :] + bchunk[:, None]), hbar, curve)
         j = int(np.argmax(u))
         if u[j] > best_u:
             best_u = float(u[j])
@@ -317,8 +308,3 @@ def hotelling_shrinker(lam) -> ShrinkageCurve:
             "p < n with a full-rank sample covariance"
         )
     return ShrinkageCurve(values=1.0 / lam, label="hotelling")
-
-
-def criterion_for(curve_values, prior: PriorSpec, curve: LwCurve):
-    """Detection criterion of an arbitrary curve under the given prior."""
-    return detection_criterion(curve_values, hbar_values(prior, curve), curve)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, RegimeError
+from .errors import ConfigError, DataError, RegimeError
 from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
-from .scoring import METHODS, SPECTRAL_METHODS, fit_and_score, map_indices
+from .scoring import SPECTRAL_METHODS, check_methods, fit_and_score, map_indices
 from .shrinkers import PriorSpec
 
 SQRT3 = np.sqrt(3.0)
@@ -63,9 +63,7 @@ class ExperimentConfig:
             )
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}")
+        check_methods(self.methods)
         if any(m in SPECTRAL_METHODS for m in self.methods) and self.p >= self.n:
             raise RegimeError(
                 f"spectral methods require p < n, got p={self.p}, n={self.n}"
@@ -89,7 +87,8 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
     basis.
 
     Eigenvalues are {kappa^(i/40)} for i=1..40 together with
-    {10^((i-1)/(40(p-41)))} for i=1..p-40.
+    {10^((i-1)/(40(p-41)))} for i=1..p-40.  BLAS runs at one thread, so the
+    bytes do not depend on its thread count.
     """
     if p < 42:
         raise ConfigError(
@@ -101,8 +100,9 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
     spikes = kappa ** (np.arange(1, 41) / 40.0)
     bulk = 10.0 ** ((np.arange(1, p - 39) - 1) / (40.0 * (p - 41)))
     lam = np.concatenate([spikes, bulk])
-    Q = _haar(substream(seed, "covariance"), p)
-    M = (Q * lam) @ Q.T
+    with single_threaded_blas():
+        Q = _haar(substream(seed, "covariance"), p)
+        M = (Q * lam) @ Q.T
     return (M + M.T) / 2.0
 
 
@@ -116,19 +116,12 @@ def _spd_root(Sigma: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _components(rng, dist, shape):
+def _draw(rng, root, dist, count) -> np.ndarray:
+    """count columns of root times i.i.d. unit-variance components."""
+    shape = (root.shape[0], count)
     if dist == "uniform":
-        return rng.uniform(-SQRT3, SQRT3, shape)
-    return rng.standard_normal(shape)
-
-
-def sample_training(Sigma, n: int, dist: str, seed: int) -> np.ndarray:
-    """n columns of Sigma^(1/2) times i.i.d. unit-variance components."""
-    if dist not in COMPONENT_DISTS:
-        raise ConfigError(f"unknown component distribution {dist!r}")
-    root = _spd_root(Sigma)
-    rng = substream(seed, "train")
-    return root @ _components(rng, dist, (root.shape[0], n))
+        return root @ rng.uniform(-SQRT3, SQRT3, shape)
+    return root @ rng.standard_normal(shape)
 
 
 def _signal(rng, root, prior: PriorSpec, gamma: float, count: int) -> np.ndarray:
@@ -136,24 +129,6 @@ def _signal(rng, root, prior: PriorSpec, gamma: float, count: int) -> np.ndarray
     g = rng.standard_normal((p, count))
     z = g if prior.mode == "identity" else root @ g
     return gamma * z / np.linalg.norm(z, axis=0, keepdims=True)
-
-
-def sample_test(
-    Sigma, prior: PriorSpec, gamma: float, h1: bool, seed: int, dist: str = "gaussian"
-) -> np.ndarray:
-    """One test vector: colored noise, plus a norm-gamma signal under h1.
-
-    The signal direction is drawn from the prior's dispersion shape and
-    rescaled to Euclidean norm exactly gamma.
-    """
-    if h1 and (gamma is None or gamma <= 0):
-        raise DomainError("h1 test vectors need gamma > 0")
-    root = _spd_root(Sigma)
-    rng = substream(seed, "test", bool(h1))
-    y = root @ _components(rng, dist, root.shape[0])
-    if h1:
-        y = y + _signal(rng, root, prior, gamma, 1)[:, 0]
-    return y
 
 
 def _oracle_pilot_terms(cfg: ExperimentConfig, root, Sigma_inv, pilots=20):
@@ -164,15 +139,14 @@ def _oracle_pilot_terms(cfg: ExperimentConfig, root, Sigma_inv, pilots=20):
     D = noise - xbar and a unit-norm signal sig: A = D'S D, B = sig'S D and
     C = sig'S sig, where S is Sigma_inv.
     """
-    p, n = cfg.p, cfg.n
     m = 40
     h0, A, B, C = [], [], [], []
     for t in range(pilots):
         rng = substream(cfg.seed, "pilot", t)
-        X = root @ _components(rng, cfg.component_dist, (p, n))
+        X = _draw(rng, root, cfg.component_dist, cfg.n)
         xbar = X.mean(axis=1)
-        noise0 = root @ _components(rng, cfg.component_dist, (p, m))
-        noise1 = root @ _components(rng, cfg.component_dist, (p, m))
+        noise0 = _draw(rng, root, cfg.component_dist, m)
+        noise1 = _draw(rng, root, cfg.component_dist, m)
         sig = _signal(rng, root, cfg.prior, 1.0, m)
         Y0 = noise0 - xbar[:, None]
         D = noise1 - xbar[:, None]
@@ -182,12 +156,6 @@ def _oracle_pilot_terms(cfg: ExperimentConfig, root, Sigma_inv, pilots=20):
         B.append(np.einsum("ij,ij->j", sig, SD))
         C.append(np.einsum("ij,ij->j", sig, Sigma_inv @ sig))
     return tuple(np.concatenate(terms) for terms in (h0, A, B, C))
-
-
-def _oracle_pilot_scores(cfg: ExperimentConfig, root, Sigma_inv, gamma, pilots=20):
-    """H0/H1 scores of the known-covariance detector on pilot substreams."""
-    h0, A, B, C = _oracle_pilot_terms(cfg, root, Sigma_inv, pilots)
-    return h0, A + 2.0 * gamma * B + gamma**2 * C
 
 
 def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
@@ -222,13 +190,13 @@ def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
 
 
 def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
-    p, n = cfg.p, cfg.n
-    rng_train = substream(cfg.seed, "trial", t, "train")
-    X = root @ _components(rng_train, cfg.component_dist, (p, n))
-    rng_h0 = substream(cfg.seed, "trial", t, "test_h0")
-    Y0 = root @ _components(rng_h0, cfg.component_dist, (p, cfg.tests_per_trial_h0))
-    rng_h1 = substream(cfg.seed, "trial", t, "test_h1")
-    Y1 = root @ _components(rng_h1, cfg.component_dist, (p, cfg.tests_per_trial_h1))
+    def draw(role, count):
+        rng = substream(cfg.seed, "trial", t, role)
+        return _draw(rng, root, cfg.component_dist, count)
+
+    X = draw("train", cfg.n)
+    Y0 = draw("test_h0", cfg.tests_per_trial_h0)
+    Y1 = draw("test_h1", cfg.tests_per_trial_h1)
     rng_sig = substream(cfg.seed, "trial", t, "signal")
     Y1 = Y1 + _signal(rng_sig, root, cfg.prior, gamma, cfg.tests_per_trial_h1)
 
@@ -246,8 +214,8 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
     Sigma defaults to make_covariance(cfg.p, cfg.kappa, cfg.seed); pass an
     explicit matrix to override the recipe.  The trials run through
     scoring.map_indices (threads=None: one worker per core) with BLAS at
-    one thread, as do the covariance root and the gamma calibration, so
-    the scores depend on neither thread count.
+    one thread, as do the covariance recipe, its root and the gamma
+    calibration, so the scores depend on neither thread count.
     """
     if Sigma is None:
         Sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
@@ -295,9 +263,14 @@ CONFIG_KEYS = {
 
 
 def parse_config_text(text: str, keys=CONFIG_KEYS) -> dict:
-    """Parse the flat `key = value` config format; `keys` lists the
-    accepted keys (the experiment config's by default)."""
-    raw = {}
+    """Parse the flat `key = value` config format into keyword arguments.
+
+    `keys` maps each accepted key (the experiment config's by default) to
+    its type, or to "gamma" (a number, or auto/none for None) or "methods"
+    (a comma-separated list).  prior.mode and prior.scale stay under those
+    names for the caller's PriorSpec.
+    """
+    kwargs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -307,35 +280,27 @@ def parse_config_text(text: str, keys=CONFIG_KEYS) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-    return raw
+        kind = keys[key]
+        try:
+            if kind == "gamma":
+                value = None if value in ("auto", "none") else float(value)
+            elif kind == "methods":
+                value = tuple(m.strip() for m in value.split(",") if m.strip())
+            else:
+                value = kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"config line {lineno}: key {key!r}: {exc}") from exc
+        kwargs[key] = value
+    return kwargs
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    raw = parse_config_text(text)
-    kwargs = {}
-    prior_mode, prior_scale = "identity", 1.0
-    for key, value in raw.items():
-        kind = CONFIG_KEYS[key]
-        try:
-            if key == "prior.mode":
-                prior_mode = value
-            elif key == "prior.scale":
-                prior_scale = float(value)
-            elif kind == "gamma":
-                kwargs["gamma"] = None if value in ("auto", "none") else float(value)
-            elif kind == "methods":
-                kwargs["methods"] = tuple(
-                    m.strip() for m in value.split(",") if m.strip()
-                )
-            else:
-                kwargs[key] = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    kwargs["prior"] = PriorSpec(mode=prior_mode, scale=prior_scale)
-    return ExperimentConfig(**kwargs)
+    kwargs = parse_config_text(text)
+    mode = kwargs.pop("prior.mode", "identity")
+    scale = kwargs.pop("prior.scale", 1.0)
+    return ExperimentConfig(prior=PriorSpec(mode, scale), **kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

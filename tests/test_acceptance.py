@@ -3,17 +3,18 @@ PASS/FAIL line.  Run with `pytest -s tests/test_acceptance.py -v` to see the
 lines; all tolerances are fixed here, not tuned at runtime.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 from scipy.stats import kstest
 
 from hdshrink.detector import (
-    detection_criterion,
+    Standardizer,
+    criterion_batch,
     gamma_tilde_all,
     sigma_tilde2_batch,
-    srht,
-    standardize,
+    srht_many,
 )
 from hdshrink.evaluate import auc, roc
 from hdshrink.linalg import eigh, sample_covariance
@@ -141,9 +142,9 @@ def test_criterion_4_null_standardization_calibration():
         spec = eigh(sample_covariance(X), n)
         curve = lw_curve(spec.eigenvalues, p, n)
         shrink, _ = proposed_shrinker(curve, prior)
-        y = root @ rng.standard_normal(p)
-        t2 = srht(y, X.mean(axis=1), spec, shrink.values)
-        zs[t] = standardize(t2, shrink.values, curve, p).z
+        y = root @ rng.standard_normal((p, 1))
+        t2 = srht_many(y, X.mean(axis=1), spec, shrink.values)[0]
+        zs[t] = Standardizer(shrink.values, curve)(t2)
     mean, var = float(zs.mean()), float(zs.var(ddof=1))
     ks = float(kstest(zs, "norm").statistic)
     elapsed = time.time() - start
@@ -199,9 +200,9 @@ def test_criterion_6_criterion_optimality():
                 spec = eigh(sample_covariance(X), n)
                 curve = lw_curve(spec.eigenvalues, p, n)
                 hbar = np.ones(p) if mode == "identity" else curve.d_tilde
-                u_prop = detection_criterion(
-                    proposed_shrinker(curve, prior)[0].values, hbar, curve
-                ).u
+                u_prop = criterion_batch(
+                    proposed_shrinker(curve, prior)[0].values[None, :], hbar, curve
+                )[0]
                 comparators = [
                     lw_comparator(curve).values,
                     ridge_shrinker(
@@ -210,9 +211,7 @@ def test_criterion_6_criterion_optimality():
                     hotelling_shrinker(curve.lam).values,
                     identity_shrinker(p).values,
                 ]
-                u_max = max(
-                    detection_criterion(v, hbar, curve).u for v in comparators
-                )
+                u_max = criterion_batch(np.array(comparators), hbar, curve).max()
                 ratio = u_prop / u_max
                 if ratio < worst:
                     worst, worst_at = ratio, f"{cov_name}/{mode}/seed{seed}"
@@ -334,7 +333,8 @@ def test_criterion_9_exactness_micro_suite():
         _, K = semicircle_kernel((lam[i] - lam[j]) / width)
         total += (f[j] - f[i]) * d[j] * K / width
     expected = f[i] - np.pi / n * total
-    got = gamma_tilde_all(f[None, :], lam, d, n)[0, i]
+    curve = dataclasses.replace(lw_curve(lam, 12, n), d_tilde=d)
+    got = gamma_tilde_all(f[None, :], curve)[0, i]
     checks.append(("gamma double loop", abs(got - expected) <= 1e-12))
 
     # pairwise AUC oracle with ties

@@ -11,9 +11,11 @@ import hdshrink
 import hdshrink.cli
 import hdshrink.linalg
 import hdshrink.scoring
+import hdshrink.shrinkers
 from hdshrink.cli import main
 from hdshrink.errors import DegenerateStatisticError
 from hdshrink.rss import RssSeries, save_rss
+from hdshrink.shrinkers import ShrinkageCurve
 from hdshrink.simulate import substream
 
 TINY_CONFIG = """\
@@ -176,6 +178,25 @@ class TestSimulateCommand:
             "0,cq,DegenerateStatisticError,forced cq failure",
             "1,cq,DegenerateStatisticError,forced cq failure",
         ]
+
+    def test_degenerate_scale_recorded_as_failure(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        def zero_shrinker(curve, prior, hbar=None):
+            return ShrinkageCurve(values=np.zeros(curve.p), label="proposed"), None
+
+        monkeypatch.setattr(hdshrink.shrinkers, "proposed_shrinker", zero_shrinker)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        message = "standardization scale degenerate (sigma=0.0)"
+        assert _errors_csv(out) == [
+            "trial,method,error_type,message",
+            f"0,proposed,DegenerateStatisticError,{message}",
+            f"1,proposed,DegenerateStatisticError,{message}",
+        ]
+        scores = (out / "scores.csv").read_text()
+        assert "nan" not in scores.lower()
+        assert ",proposed," not in scores
 
 
 class TestRssCommand:

@@ -1,21 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hdshrink.detector import (
-    TailConstants,
-    detection_criterion,
+    Standardizer,
+    criterion_batch,
     gamma_tilde_all,
     mu_tilde,
-    power_bound,
     sigma_tilde2_batch,
-    significance_bound,
-    srht,
     srht_many,
-    standardize,
+    standardization_scale,
 )
-from hdshrink.errors import DegenerateStatisticError, DimensionError, DomainError
+from hdshrink.errors import DegenerateStatisticError, DimensionError
 from hdshrink.linalg import apply_spectral, eigh, quadratic_form, sample_covariance
 from hdshrink.mpkernel import lw_curve, semicircle_kernel
 from hdshrink.shrinkers import PriorSpec, hotelling_shrinker, proposed_shrinker
@@ -28,7 +26,7 @@ class TestSrht:
         spec = eigh(sample_covariance(X), 12)
         y = rng.standard_normal(5)
         xbar = X.mean(axis=1)
-        assert srht(y, xbar, spec, np.ones(5)) == pytest.approx(
+        assert srht_many(y[:, None], xbar, spec, np.ones(5))[0] == pytest.approx(
             np.sum((y - xbar) ** 2), abs=1e-12
         )
 
@@ -37,7 +35,7 @@ class TestSrht:
         X = rng.standard_normal((4, 9))
         spec = eigh(sample_covariance(X), 9)
         xbar = X.mean(axis=1)
-        assert srht(xbar, xbar, spec, np.ones(4)) == 0.0
+        assert srht_many(xbar[:, None], xbar, spec, np.ones(4))[0] == 0.0
 
     def test_two_path_consistency(self):
         rng = np.random.default_rng(2)
@@ -46,7 +44,7 @@ class TestSrht:
         curve = rng.uniform(0.1, 2.0, 4)
         y = rng.standard_normal(4)
         xbar = X.mean(axis=1)
-        direct = srht(y, xbar, spec, curve)
+        direct = srht_many(y[:, None], xbar, spec, curve)[0]
         via_matrix = quadratic_form(apply_spectral(spec, curve), y - xbar)
         assert direct == pytest.approx(via_matrix, abs=1e-10)
 
@@ -55,7 +53,7 @@ class TestSrht:
         X = rng.standard_normal((4, 9))
         spec = eigh(sample_covariance(X), 9)
         with pytest.raises(DimensionError):
-            srht(np.ones(5), np.ones(4), spec, np.ones(4))
+            srht_many(np.ones((5, 1)), np.ones(4), spec, np.ones(4))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(4)
@@ -65,7 +63,8 @@ class TestSrht:
         xbar = X.mean(axis=1)
         Y = rng.standard_normal((6, 7))
         batch = srht_many(Y, xbar, spec, curve)
-        singles = [srht(Y[:, j], xbar, spec, curve) for j in range(7)]
+        M = apply_spectral(spec, curve)
+        singles = [quadratic_form(M, Y[:, j] - xbar) for j in range(7)]
         assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -97,15 +96,15 @@ class TestGammaTilde:
     def test_constant_passthrough(self, identity_fit):
         _, _, curve = identity_fit
         f = np.full(200, 2.5)
-        vals = gamma_tilde_all(f[None, :], curve.lam, curve.d_tilde, curve.n)[0]
+        vals = gamma_tilde_all(f[None, :], curve)[0]
         for i in (0, 100, 199):
             assert vals[i] == pytest.approx(2.5, abs=1e-12)
 
     def test_large_n_limit_recovers_f(self):
         lam = np.linspace(0.5, 2.0, 10)
         f = lam**2
-        d = np.ones(10)
-        vals = gamma_tilde_all(f[None, :], lam, d, n=10**9)[0]
+        curve = dataclasses.replace(lw_curve(lam, 10, 10**9), d_tilde=np.ones(10))
+        vals = gamma_tilde_all(f[None, :], curve)[0]
         assert np.abs(vals - f).max() <= 1e-5
 
     def test_matches_bruteforce_double_loop(self, identity_fit):
@@ -121,7 +120,7 @@ class TestGammaTilde:
                 _, K = semicircle_kernel((lam[i] - lam[j]) / width)
                 total += (f[j] - f[i]) * d[j] * K / width
             expected = f[i] - np.pi / n * total
-            got = gamma_tilde_all(f[None, :], lam, d, n)[0, i]
+            got = gamma_tilde_all(f[None, :], curve)[0, i]
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -151,22 +150,23 @@ class TestStandardize:
         _, _, curve = identity_fit
         f = np.ones(200)
         mu = mu_tilde(f, curve.d_tilde)
-        score = standardize(mu * 200, f, curve, 200)
-        assert score.z == 0.0
+        assert Standardizer(f, curve)(mu * 200) == 0.0
 
     def test_affine_arithmetic(self, identity_fit):
         _, _, curve = identity_fit
         f = np.ones(200)
-        score = standardize(42.0, f, curve, 200)
+        score = Standardizer(f, curve)
+        assert score.mu == mu_tilde(f, curve.d_tilde)
+        assert score.sigma == standardization_scale(f, curve)
         # invariant: z reconstructs exactly from the stored fields
-        assert score.z == (score.t2 - score.mu_tilde * 200) / (
-            score.sigma_tilde * math.sqrt(200)
+        assert score(42.0) == (42.0 - score.mu * 200) / (
+            score.sigma * math.sqrt(200)
         )
 
     def test_degenerate_variance_rejected(self, identity_fit):
         _, _, curve = identity_fit
         with pytest.raises(DegenerateStatisticError):
-            standardize(1.0, np.zeros(200), curve, 200)
+            Standardizer(np.zeros(200), curve)
 
     def test_shift_invariance_of_pipeline(self):
         rng = np.random.default_rng(6)
@@ -179,8 +179,8 @@ class TestStandardize:
             spec = eigh(sample_covariance(Xd), n)
             curve = lw_curve(spec.eigenvalues, p, n)
             f, _ = proposed_shrinker(curve, PriorSpec("identity"))
-            t2 = srht(yd, Xd.mean(axis=1), spec, f.values)
-            return standardize(t2, f.values, curve, p).z
+            t2 = srht_many(yd[:, None], Xd.mean(axis=1), spec, f.values)[0]
+            return Standardizer(f.values, curve)(t2)
 
         z0 = score(X, y)
         z1 = score(X + shift[:, None], y + shift)
@@ -193,52 +193,22 @@ class TestDetectionCriterion:
         rng = np.random.default_rng(7)
         f = rng.uniform(0.5, 1.5, 200)
         hbar = np.ones(200)
-        u1 = detection_criterion(f, hbar, curve).u
-        u2 = detection_criterion(4.0 * f, hbar, curve).u
+        u1 = criterion_batch(f[None, :], hbar, curve)[0]
+        u2 = criterion_batch(4.0 * f[None, :], hbar, curve)[0]
         assert u2 == pytest.approx(u1, rel=1e-14)
 
     def test_zero_shrinker_degenerate(self, identity_fit):
         _, _, curve = identity_fit
         with pytest.raises(DegenerateStatisticError):
-            detection_criterion(np.zeros(200), np.ones(200), curve)
+            criterion_batch(np.zeros((1, 200)), np.ones(200), curve)
 
     def test_ratio_field_consistency(self, identity_fit):
         _, _, curve = identity_fit
-        cv = detection_criterion(np.ones(200), np.ones(200), curve)
-        assert cv.u == pytest.approx(cv.numerator / cv.sigma_tilde, rel=1e-15)
-
-
-class TestTailBounds:
-    def test_gaussian_at_zero(self):
-        assert significance_bound(0.0, TailConstants(mode="gaussian_exact")) == 0.5
-
-    def test_hanson_wright_at_zero_is_vacuous(self):
-        assert significance_bound(0.0, TailConstants(mode="hanson_wright")) == 2.0
-
-    def test_gaussian_tail_value(self):
-        val = significance_bound(3.719, TailConstants(mode="gaussian_exact"))
-        assert val == pytest.approx(1e-4, abs=2e-6)
-
-    def test_power_bound_vacuous_region(self):
-        tc = TailConstants(c=1.0, C=1.0, mode="hanson_wright")
-        assert power_bound(1.0, 2.0, tc) == -1.0
-        assert power_bound(1.0, 2.0, tc, clamp=True) == 0.0
-
-    def test_power_bound_zero_crossing(self):
-        tc = TailConstants(c=1.0, C=1.0)
-        u = 2.0 + math.sqrt(math.log(2.0))
-        assert power_bound(u, 2.0, tc) == pytest.approx(0.0, abs=1e-14)
-
-    def test_power_bound_monotone(self):
-        tc = TailConstants()
-        vals = [power_bound(u, 1.0, tc) for u in np.linspace(0, 6, 25)]
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_tail_constants_validated(self):
-        with pytest.raises(DomainError):
-            TailConstants(mode="bootstrap")
-        with pytest.raises(DomainError):
-            TailConstants(c=-1.0)
+        f = np.ones(200)
+        u = criterion_batch(f[None, :], np.ones(200), curve)[0]
+        numerator = np.mean(f * np.ones(200))
+        sigma = standardization_scale(f, curve)
+        assert u == pytest.approx(numerator / sigma, rel=1e-15)
 
 
 class TestSeparationSurrogate:
@@ -254,15 +224,13 @@ class TestSeparationSurrogate:
             spec = eigh(sample_covariance(X), n)
             curve = lw_curve(spec.eigenvalues, p, n)
             f, _ = proposed_shrinker(curve, PriorSpec("identity"))
-            cv = detection_criterion(f.values, np.ones(p), curve)
+            u = criterion_batch(f.values[None, :], np.ones(p), curve)[0]
             xbar = X.mean(axis=1)
             y0 = rng.standard_normal(p)
             direction = rng.standard_normal(p)
             y1 = y0 + gamma * direction / np.linalg.norm(direction)
-            t0 = srht(y0, xbar, spec, f.values)
-            t1 = srht(y1, xbar, spec, f.values)
-            z0 = standardize(t0, f.values, curve, p).z
-            z1 = standardize(t1, f.values, curve, p).z
+            t2 = srht_many(np.column_stack([y0, y1]), xbar, spec, f.values)
+            z0, z1 = Standardizer(f.values, curve)(t2)
             shifts.append(z1 - z0)
-            crits.append(cv.u)
+            crits.append(u)
         assert np.mean(shifts) >= 0.8 * np.mean(crits)

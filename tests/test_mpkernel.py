@@ -3,9 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from hdshrink.errors import DomainError, RegimeError
+from hdshrink.linalg import sample_covariance
 from hdshrink.mpkernel import (
     delta_curve,
     density_estimate,
+    eps_den,
     hilbert_estimate,
     identity_mp_oracle,
     lw_curve,
@@ -118,6 +120,28 @@ class TestLwCurve:
     def test_requires_p_below_n(self):
         with pytest.raises(RegimeError):
             lw_curve(np.ones(10), 10, 10)
+
+    @pytest.mark.parametrize("p,n", [(200, 300), (800, 1200)])
+    def test_one_evaluation_matches_three(self, p, n):
+        # Reference: the density and Hilbert estimates from two kernel
+        # evaluations and the Hilbert matrix from a third; lw_curve's single
+        # evaluation must give the same bits.
+        rng = np.random.default_rng(p)
+        scales = np.geomspace(1.0, 100.0, p)[:, None]
+        X = scales * rng.standard_normal((p, n))
+        lam = np.linalg.eigvalsh(sample_covariance(X))
+        w = density_estimate(lam, n, lam)
+        hw = hilbert_estimate(lam, n, lam)
+        phi = p / n
+        den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (phi * np.pi * lam * w) ** 2
+        d = lam / np.maximum(den, eps_den(lam))
+        width = n ** (-1.0 / 3.0) * lam[:, None]
+        _, K = semicircle_kernel((lam[None, :] - lam[:, None]) / width)
+        curve = lw_curve(lam, p, n)
+        assert np.array_equal(curve.w_tilde, w)
+        assert np.array_equal(curve.hw_tilde, hw)
+        assert np.array_equal(curve.d_tilde, d)
+        assert np.array_equal(curve.hilbert_matrix, K / width)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)

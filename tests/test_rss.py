@@ -191,6 +191,10 @@ class TestRssConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             rss_config_from_text("n = 10\nn = 20\n")
 
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(ConfigError, match="at least one method"):
+            rss_config_from_text("n = 10\nmethods = ,\n")
+
     @pytest.mark.parametrize(
         "text",
         [

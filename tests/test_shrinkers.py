@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hdshrink.detector import srht
+from hdshrink.detector import criterion_batch, srht_many
 from hdshrink.errors import (
     ConfigError,
     ConvergenceError,
@@ -13,7 +15,6 @@ from hdshrink.linalg import apply_spectral, eigh, sample_covariance
 from hdshrink.mpkernel import identity_mp_oracle, lw_curve
 from hdshrink.shrinkers import (
     PriorSpec,
-    criterion_for,
     fstar_curve,
     fstar_oracle,
     hbar_values,
@@ -27,6 +28,12 @@ from hdshrink.shrinkers import (
 )
 
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
+
+
+def _criterion(F, prior, curve):
+    """Detection criterion of each row of F (or of one vector) under prior."""
+    u = criterion_batch(np.atleast_2d(F), hbar_values(prior, curve), curve)
+    return u if np.ndim(F) == 2 else u[0]
 
 
 class TestHbarValues:
@@ -101,14 +108,7 @@ class TestProposedShrinker:
     def test_requires_p_below_n(self):
         lam = np.linspace(0.5, 1.5, 20)
         curve = lw_curve(lam, 20, 100)
-        bad = type(curve)(
-            lam=curve.lam,
-            w_tilde=curve.w_tilde,
-            hw_tilde=curve.hw_tilde,
-            d_tilde=curve.d_tilde,
-            phi_n=2.0,
-            n=10,
-        )
+        bad = dataclasses.replace(curve, phi_n=2.0, n=10)
         with pytest.raises(RegimeError):
             proposed_shrinker(bad, PriorSpec("identity"))
 
@@ -182,8 +182,8 @@ class TestLappwSelectB:
         prior = PriorSpec("identity")
         b = lappw_select_b(curve, prior, 2)
         lo, hi = curve.lam.mean(), 20 * curve.lam.max()
-        u_lo = criterion_for(1.0 / (curve.lam + lo), prior, curve).u
-        u_hi = criterion_for(1.0 / (curve.lam + hi), prior, curve).u
+        ends = np.array([[lo], [hi]])
+        u_lo, u_hi = _criterion(1.0 / (curve.lam + ends), prior, curve)
         assert b == pytest.approx(lo if u_lo >= u_hi else hi, rel=1e-12)
 
     def test_exact_argmax_over_grid(self, identity_fit):
@@ -191,16 +191,16 @@ class TestLappwSelectB:
         prior = PriorSpec("identity")
         b = lappw_select_b(curve, prior, 200)
         grid = np.geomspace(curve.lam.mean(), 20 * curve.lam.max(), 200)
-        us = [criterion_for(1.0 / (curve.lam + g), prior, curve).u for g in grid]
+        us = [_criterion(1.0 / (curve.lam + g), prior, curve) for g in grid]
         assert b == pytest.approx(grid[int(np.argmax(us))], rel=1e-12)
 
     def test_near_refined_maximum(self, identity_fit):
         _, _, curve = identity_fit
         prior = PriorSpec("identity")
         b = lappw_select_b(curve, prior, 400)
-        u_b = criterion_for(1.0 / (curve.lam + b), prior, curve).u
+        u_b = _criterion(1.0 / (curve.lam + b), prior, curve)
         b_fine = lappw_select_b(curve, prior, 4000)
-        u_fine = criterion_for(1.0 / (curve.lam + b_fine), prior, curve).u
+        u_fine = _criterion(1.0 / (curve.lam + b_fine), prior, curve)
         assert u_b >= u_fine * (1 - 0.02)
 
     def test_grid_size_validated(self, identity_fit):
@@ -320,7 +320,7 @@ class TestSimpleShrinkers:
         spec = eigh(sample_covariance(X), 10)
         y = rng.standard_normal(4)
         xbar = X.mean(axis=1)
-        t2 = srht(y, xbar, spec, identity_shrinker(4).values)
+        t2 = srht_many(y[:, None], xbar, spec, identity_shrinker(4).values)[0]
         assert t2 == pytest.approx(np.sum((y - xbar) ** 2), abs=1e-10)
 
     def test_hotelling_values(self):
@@ -341,7 +341,8 @@ class TestSimpleShrinkers:
         spec = eigh(S, 200)
         y = rng.standard_normal(5)
         xbar = X.mean(axis=1)
-        t2 = srht(y, xbar, spec, hotelling_shrinker(spec.eigenvalues).values)
+        f = hotelling_shrinker(spec.eigenvalues).values
+        t2 = srht_many(y[:, None], xbar, spec, f)[0]
         v = y - xbar
         assert t2 == pytest.approx(v @ np.linalg.inv(S) @ v, rel=1e-10)
 

@@ -4,19 +4,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import hdshrink.detector
+import hdshrink.mpkernel
 import hdshrink.scoring
-import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
-from hdshrink.errors import ConfigError, DataError, DomainError
+from hdshrink.errors import ConfigError, DataError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
 from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
-    _components,
-    _oracle_pilot_scores,
+    _draw,
+    _oracle_pilot_terms,
     _signal,
     _spd_root,
     calibrate_gamma,
@@ -25,8 +24,6 @@ from hdshrink.simulate import (
     load_config,
     make_covariance,
     run_trials,
-    sample_test,
-    sample_training,
     scores_csv_lines,
     substream,
 )
@@ -71,26 +68,49 @@ class TestMakeCovariance:
         with pytest.raises(ConfigError, match="explicit eigenvalue list"):
             make_covariance(41, 10.0, seed=0)
 
+    def test_blas_pinned_and_restored(self, monkeypatch):
+        control = blas_thread_control()
+        if control is None:
+            pytest.skip("OpenBLAS thread setter not found")
+        get, set_ = control
+        original = get()
+        set_(2)
+        try:
+            before = get()
+            seen = []
+            real = hdshrink.simulate._haar
+
+            def spy(*args):
+                seen.append(get())
+                return real(*args)
+
+            monkeypatch.setattr(hdshrink.simulate, "_haar", spy)
+            make_covariance(60, 10.0, seed=0)
+            assert seen == [1]
+            assert get() == before
+        finally:
+            set_(original)
+
 
 class TestSampleTraining:
     def test_component_variance_both_modes(self):
         for dist in ("uniform", "gaussian"):
-            X = sample_training(np.eye(4), 25_000, dist, seed=3)
+            X = _draw(substream(3, "train"), np.eye(4), dist, 25_000)
             assert X.var() == pytest.approx(1.0, abs=0.03)
 
     def test_uniform_support_bounded(self):
-        X = sample_training(np.eye(3), 10_000, "uniform", seed=4)
+        X = _draw(substream(4, "train"), np.eye(3), "uniform", 10_000)
         assert np.abs(X).max() <= np.sqrt(3.0)
 
     def test_lln_identity_covariance(self):
-        X = sample_training(np.eye(50), 5000, "gaussian", seed=5)
+        X = _draw(substream(5, "train"), _spd_root(np.eye(50)), "gaussian", 5000)
         S = sample_covariance(X)
         assert np.abs(S - np.eye(50)).max() <= 0.1
 
     def test_non_pd_rejected(self):
         bad = np.diag([1.0, 0.0])
         with pytest.raises(DataError):
-            sample_training(bad, 10, "gaussian", seed=6)
+            _spd_root(bad)
 
 
 class TestSampleTest:
@@ -101,8 +121,8 @@ class TestSampleTest:
         assert np.abs(norms - 2.5).max() <= 1e-12
 
     def test_h1_requires_positive_gamma(self):
-        with pytest.raises(DomainError):
-            sample_test(np.eye(4), PriorSpec("identity"), 0.0, True, seed=8)
+        with pytest.raises(ConfigError, match="gamma must be positive"):
+            ExperimentConfig(p=44, n=80, gamma=0.0)
 
     def test_signal_direction_uniform_on_sphere(self):
         rng = substream(9, "sphere")
@@ -111,8 +131,8 @@ class TestSampleTest:
         assert np.linalg.norm(mean_direction) <= 0.05
 
     def test_h0_vector_shape(self):
-        y = sample_test(np.eye(6), PriorSpec("identity"), 1.0, False, seed=10)
-        assert y.shape == (6,)
+        y = _draw(substream(10, "test", False), np.eye(6), "gaussian", 1)
+        assert y.shape == (6, 1)
 
 
 class TestRunTrials:
@@ -121,15 +141,14 @@ class TestRunTrials:
             p=44, n=70, kappa=10.0, gamma=2.0, trials=1, tests_per_trial_h0=4,
             tests_per_trial_h1=4, seed=3, lappw_grid_points=50,
         )
-        real = hdshrink.scoring.kernel_matrix
+        real = hdshrink.mpkernel.kernel_matrix
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (hdshrink.scoring, hdshrink.shrinkers, hdshrink.detector):
-            monkeypatch.setattr(module, "kernel_matrix", counting)
+        monkeypatch.setattr(hdshrink.mpkernel, "kernel_matrix", counting)
         out = run_trials(cfg, Sigma=make_covariance(cfg.p, cfg.kappa, cfg.seed), threads=1)[0]
         assert out.errors == {}
         assert len(calls) == 1
@@ -148,13 +167,11 @@ class TestRunTrials:
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         out = run_trials(cfg, Sigma=sigma)[0]
-        from hdshrink.simulate import _components, _spd_root
-
         root = _spd_root(sigma)
         rng_train = substream(cfg.seed, "trial", 0, "train")
-        X = root @ _components(rng_train, cfg.component_dist, (cfg.p, cfg.n))
+        X = _draw(rng_train, root, cfg.component_dist, cfg.n)
         rng_h0 = substream(cfg.seed, "trial", 0, "test_h0")
-        Y0 = root @ _components(rng_h0, cfg.component_dist, (cfg.p, 5))
+        Y0 = _draw(rng_h0, root, cfg.component_dist, 5)
         expected = np.sum((Y0 - X.mean(axis=1)[:, None]) ** 2, axis=0)
         assert np.allclose(out.scores["identity"]["h0_raw"], expected, rtol=1e-12)
 
@@ -164,9 +181,9 @@ class TestRunTrials:
         out = run_trials(cfg, Sigma=sigma)[0]
         root = _spd_root(sigma)
         rng_train = substream(cfg.seed, "trial", 0, "train")
-        X = root @ _components(rng_train, cfg.component_dist, (cfg.p, cfg.n))
+        X = _draw(rng_train, root, cfg.component_dist, cfg.n)
         rng_h0 = substream(cfg.seed, "trial", 0, "test_h0")
-        D = root @ _components(rng_h0, cfg.component_dist, (cfg.p, 8))
+        D = _draw(rng_h0, root, cfg.component_dist, 8)
         D -= X.mean(axis=1)[:, None]
         P = np.linalg.inv(tyler_estimator(X, rho=cfg.tyler_rho))
         expected = np.array([d @ P @ d for d in D.T])
@@ -289,16 +306,24 @@ def _direct_pilot_scores(cfg, sigma, gamma, pilots=20):
     h0_all, h1_all = [], []
     for t in range(pilots):
         rng = substream(cfg.seed, "pilot", t)
-        X = root @ _components(rng, cfg.component_dist, (cfg.p, cfg.n))
+        X = _draw(rng, root, cfg.component_dist, cfg.n)
         xbar = X.mean(axis=1)
-        noise0 = root @ _components(rng, cfg.component_dist, (cfg.p, m))
-        noise1 = root @ _components(rng, cfg.component_dist, (cfg.p, m))
+        noise0 = _draw(rng, root, cfg.component_dist, m)
+        noise1 = _draw(rng, root, cfg.component_dist, m)
         sig = _signal(rng, root, cfg.prior, 1.0, m)
         Y0 = noise0 - xbar[:, None]
         Y1 = noise1 + gamma * sig - xbar[:, None]
         h0_all.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
         h1_all.append(np.einsum("ij,ik,kj->j", Y1, Sigma_inv, Y1))
     return np.concatenate(h0_all), np.concatenate(h1_all)
+
+
+def _pilot_scores(cfg, sigma, gamma, pilots=20):
+    """H0/H1 pilot scores from calibrate_gamma's terms: the H1 score is
+    the quadratic A + 2*gamma*B + gamma**2*C in the signal scale."""
+    root, Sigma_inv = _spd_root(sigma), np.linalg.inv(sigma)
+    h0, A, B, C = _oracle_pilot_terms(cfg, root, Sigma_inv, pilots)
+    return h0, A + 2.0 * gamma * B + gamma**2 * C
 
 
 def _reference_calibration(cfg, sigma):
@@ -332,9 +357,8 @@ class TestGammaCalibration:
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         gamma = calibrate_gamma(cfg, sigma)
         from hdshrink.evaluate import power_at_fpr, roc
-        from hdshrink.simulate import _oracle_pilot_scores, _spd_root
 
-        h0, h1 = _oracle_pilot_scores(cfg, _spd_root(sigma), np.linalg.inv(sigma), gamma)
+        h0, h1 = _pilot_scores(cfg, sigma, gamma)
         assert power_at_fpr(roc(h0, h1), 0.1) == pytest.approx(0.5, abs=0.1)
 
     @pytest.mark.parametrize(
@@ -362,9 +386,7 @@ class TestGammaCalibration:
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         gamma = 3.7
-        h0, h1 = _oracle_pilot_scores(
-            cfg, _spd_root(sigma), np.linalg.inv(sigma), gamma, pilots=4
-        )
+        h0, h1 = _pilot_scores(cfg, sigma, gamma, pilots=4)
         ref_h0, ref_h1 = _direct_pilot_scores(cfg, sigma, gamma, pilots=4)
         assert np.array_equal(h0, ref_h0)
         assert np.allclose(h1, ref_h1, rtol=1e-12, atol=0.0)
@@ -387,6 +409,15 @@ class TestConfigFile:
     def test_bad_value_reported(self):
         with pytest.raises(ConfigError, match="kappa"):
             config_from_text("kappa = ten\n")
+
+    def test_empty_method_list_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("p = 44\nn = 70\nmethods =\n")
+        with pytest.raises(ConfigError, match="at least one method"):
+            load_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_comments_and_auto_gamma(self, tmp_path):
         path = tmp_path / "cfg"
