@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,33 @@ def summary_rows(curves) -> list:
     return rows
 
 
+def roc_corners(curve: RocCurve) -> RocCurve:
+    """The staircase corners of curve, in order.
+
+    Keeps the first and last points and every point that is not strictly
+    inside a horizontal run (equal tpr on both neighbours) or a vertical run
+    (equal fpr on both neighbours).  A dropped point lies on the segment
+    between its kept neighbours, so the corners draw the same polyline and
+    give the same trapezoid area up to rounding.
+    """
+    f, t = curve.fpr, curve.tpr
+    keep = np.ones(f.size, dtype=bool)
+    keep[1:-1] = ~(
+        ((t[:-2] == t[1:-1]) & (t[1:-1] == t[2:]))
+        | ((f[:-2] == f[1:-1]) & (f[1:-1] == f[2:]))
+    )
+    return RocCurve(f[keep], t[keep], curve.thresholds[keep], curve.method)
+
+
 def write_roc_csv(curves, path) -> None:
+    """One row per staircase corner (see roc_corners) of each curve."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,fpr,tpr,threshold\n")
-        for c in curves:
-            for f, t, th in zip(c.fpr, c.tpr, c.thresholds):
-                fh.write(f"{c.method},{f:.17g},{t:.17g},{th:.17g}\n")
+        for c in map(roc_corners, curves):
+            rows = zip(c.fpr.tolist(), c.tpr.tolist(), c.thresholds.tolist())
+            fh.write(
+                "".join(f"{c.method},{f:.17g},{t:.17g},{h:.17g}\n" for f, t, h in rows)
+            )
 
 
 def write_summary_csv(curves, path) -> None:
@@ -119,11 +141,12 @@ def _svg_coords(f, t, log_fpr, floor):
 def render(curves, out_dir, log_fpr: bool = False, floor: float = 1e-4):
     """Write roc.csv plus a static SVG plot into out_dir.
 
-    Output is byte-deterministic: no timestamps or environment data are
-    embedded.  Returns the two paths written.
+    Both files hold only the staircase corners of each curve (see
+    roc_corners).  The thresholds of the dropped points are in scores.csv,
+    and auc, power_at_fpr and summary.csv use the full curve.  Output is
+    byte-deterministic: no timestamps or environment data are embedded.
+    Returns the two paths written.
     """
-    import os
-
     if not curves:
         raise DataError("render needs at least one curve")
     os.makedirs(out_dir, exist_ok=True)
@@ -144,10 +167,12 @@ def render(curves, out_dir, log_fpr: bool = False, floor: float = 1e-4):
         f'<text x="18" y="{_H / 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {_H / 2})">detection rate</text>',
     ]
-    for i, c in enumerate(curves):
+    for i, c in enumerate(map(roc_corners, curves)):
         color = _PALETTE[i % len(_PALETTE)]
         px, py = _svg_coords(c.fpr, c.tpr, log_fpr, floor)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        pts = " ".join(
+            f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())
+        )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
 from .evaluate import roc
-from .scoring import check_methods, fit_and_score, map_indices
+from .scoring import check_method_options, check_methods, fit_and_score, map_indices
 from .shrinkers import PriorSpec
 from .simulate import substream
 
@@ -195,6 +195,7 @@ class RssExperimentConfig:
                 f"got {self.window}"
             )
         check_methods(self.methods)
+        check_method_options(self.tyler_rho, self.lappw_grid_points)
 
 
 def rss_experiment(

@@ -59,6 +59,18 @@ def check_methods(methods) -> None:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
 
 
+def check_method_options(tyler_rho, lappw_grid_points) -> None:
+    """Reject a tyler_rho outside [0, 1) or a lappw grid of fewer than 2
+    points (ConfigError), so a bad config fails at parse time instead of
+    in every fit."""
+    if not 0.0 <= tyler_rho < 1.0:
+        raise ConfigError(f"tyler_rho must lie in [0, 1), got {tyler_rho}")
+    if lappw_grid_points < 2:
+        raise ConfigError(
+            f"lappw_grid_points must be at least 2, got {lappw_grid_points}"
+        )
+
+
 class _SpectralScorer:
     def __init__(self, fit: FittedReference, values: np.ndarray):
         self.fit = fit

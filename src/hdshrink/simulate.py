@@ -17,7 +17,13 @@ import numpy as np
 from .errors import ConfigError, DataError, RegimeError
 from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
-from .scoring import SPECTRAL_METHODS, check_methods, fit_and_score, map_indices
+from .scoring import (
+    SPECTRAL_METHODS,
+    check_method_options,
+    check_methods,
+    fit_and_score,
+    map_indices,
+)
 from .shrinkers import PriorSpec
 
 SQRT3 = np.sqrt(3.0)
@@ -64,6 +70,7 @@ class ExperimentConfig:
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         check_methods(self.methods)
+        check_method_options(self.tyler_rho, self.lappw_grid_points)
         if any(m in SPECTRAL_METHODS for m in self.methods) and self.p >= self.n:
             raise RegimeError(
                 f"spectral methods require p < n, got p={self.p}, n={self.n}"

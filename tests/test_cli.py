@@ -45,6 +45,13 @@ component_dist = uniform
 seed = 7
 """
 
+# (method, key, value) out of range for that method's fit.
+BAD_METHOD_OPTIONS = [
+    ("tyler", "tyler_rho", "1.5"),
+    ("tyler", "tyler_rho", "-0.1"),
+    ("lappw", "lappw_grid_points", "1"),
+]
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -168,6 +175,19 @@ class TestSimulateCommand:
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
+    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            TINY_CONFIG.replace("proposed, identity, cq", method).replace(
+                "lappw_grid_points = 200", f"{key} = {value}"
+            )
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"config error: {key} must" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
     def test_method_failures_reported(self, tmp_path, config_path, monkeypatch, capsys):
         _fail_method(monkeypatch, "cq")
         out = tmp_path / "run"
@@ -282,6 +302,16 @@ class TestRssCommand:
             ["rss", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
+    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+        data, cfg = _rss_inputs(
+            tmp_path, f"n = 30\nresamples = 1\nmethods = {method}\n{key} = {value}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key} must" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
 
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"

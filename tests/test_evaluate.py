@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from hdshrink.errors import DataError, DomainError
-from hdshrink.evaluate import auc, power_at_fpr, render, roc, summary_rows
+from hdshrink.evaluate import (
+    auc,
+    power_at_fpr,
+    render,
+    roc,
+    roc_corners,
+    summary_rows,
+)
 
 
 def pairwise_auc(h0, h1):
@@ -101,7 +108,7 @@ class TestRender:
         csv_path, svg_path = render(curves, tmp_path)
         ET.parse(svg_path)  # raises on malformed XML
         lines = open(csv_path).read().splitlines()
-        expected_rows = sum(c.fpr.size for c in curves)
+        expected_rows = sum(roc_corners(c).fpr.size for c in curves)
         assert len(lines) == expected_rows + 1
 
     def test_rerender_byte_identical(self, tmp_path):
@@ -116,6 +123,67 @@ class TestRender:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DataError):
             render([], tmp_path)
+
+    @pytest.mark.parametrize("log_fpr", [False, True])
+    def test_polyline_holds_the_corners(self, tmp_path, log_fpr):
+        rng = np.random.default_rng(6)
+        curves = [
+            roc(rng.integers(0, 9, 40), rng.integers(2, 11, 30), method="a"),
+            roc(rng.standard_normal(25), rng.standard_normal(35), method="b"),
+        ]
+        _, svg_path = render(curves, tmp_path, log_fpr=log_fpr)
+        lines = ET.parse(svg_path).findall("{http://www.w3.org/2000/svg}polyline")
+        counts = [len(line.get("points").split()) for line in lines]
+        assert counts == [roc_corners(c).fpr.size for c in curves]
+        assert counts[0] < curves[0].fpr.size
+
+
+def _random_curves():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        yield roc(rng.integers(0, 7, 31), rng.integers(1, 8, 27))  # ties
+        yield roc(rng.standard_normal(40), rng.standard_normal(33) + 0.7)
+
+
+class TestRocCorners:
+    def test_ordered_subset_with_endpoints(self):
+        for curve in _random_curves():
+            k = roc_corners(curve)
+            idx = np.flatnonzero(np.isin(curve.thresholds, k.thresholds))
+            assert idx.size == k.thresholds.size
+            assert np.array_equal(curve.fpr[idx], k.fpr)
+            assert np.array_equal(curve.tpr[idx], k.tpr)
+            assert (k.fpr[0], k.tpr[0], k.fpr[-1], k.tpr[-1]) == (0, 0, 1, 1)
+            assert k.method == curve.method
+
+    def test_dropped_points_lie_on_axis_segments(self):
+        for curve in _random_curves():
+            k = roc_corners(curve)
+            kept = np.isin(curve.thresholds, k.thresholds)
+            pos = np.cumsum(kept)  # kept neighbours of a dropped point i: pos-1, pos
+            for i in np.flatnonzero(~kept):
+                lo, hi = pos[i] - 1, pos[i]
+                f, t = curve.fpr[i], curve.tpr[i]
+                horizontal = k.tpr[lo] == t == k.tpr[hi] and k.fpr[lo] <= f <= k.fpr[hi]
+                vertical = k.fpr[lo] == f == k.fpr[hi] and k.tpr[lo] <= t <= k.tpr[hi]
+                assert horizontal or vertical
+            assert auc(k) == pytest.approx(auc(curve), rel=0, abs=1e-15)
+
+    def test_tied_scores_keep_both_ends_of_the_diagonal_step(self):
+        # 1.0 is both an H0 and an H1 score: (0, 0.5) -> (0.5, 1) is one step
+        curve = roc([0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0])
+        k = roc_corners(curve)
+        points = list(zip(k.fpr.tolist(), k.tpr.tolist()))
+        assert points == [(0, 0), (0, 0.5), (0.5, 1), (1, 1)]
+        assert k.thresholds.tolist() == [np.inf, 2.0, 1.0, -np.inf]
+
+    def test_constant_scores(self):
+        # one diagonal step from (0, 0) to (1, 1), then the -inf sentinel
+        curve = roc([3.0] * 5, [3.0] * 4)
+        k = roc_corners(curve)
+        assert list(zip(k.fpr.tolist(), k.tpr.tolist())) == [(0, 0), (1, 1), (1, 1)]
+        assert k.thresholds.tolist() == [np.inf, 3.0, -np.inf]
+        assert auc(k) == auc(curve) == 0.5
 
 
 class TestSummary:
