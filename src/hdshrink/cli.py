@@ -18,23 +18,18 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError, HdshrinkError, NumericError
 from .evaluate import render, roc, write_summary_csv
-from .linalg import blas_thread_control, eigh, load_matrix, sample_covariance
-from .mpkernel import identity_mp_oracle, lw_curve
+from .linalg import blas_thread_control, eigh, load_matrix
+from .mpkernel import identity_mp_oracle
 from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
-from .scoring import METHODS, worker_count, write_errors_csv
-from .shrinkers import (
-    PriorSpec,
-    ShrinkageCurve,
-    fstar_curve,
-    hotelling_shrinker,
-    identity_shrinker,
-    lappw_select_b,
-    lw_comparator,
-    proposed_shrinker,
-    ridge_shrinker,
-    tyler_estimator,
+from .scoring import (
+    METHODS,
+    fit_reference,
+    spectral_curve,
+    worker_count,
+    write_errors_csv,
 )
+from .shrinkers import PriorSpec, ShrinkageCurve, fstar_curve, tyler_estimator
 from .simulate import (
     calibrate_gamma,
     load_config,
@@ -76,11 +71,11 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    threads = worker_count(args.threads, cfg.trials)
     os.makedirs(args.out, exist_ok=True)
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
     gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, sigma)
     resolved = dataclasses.replace(cfg, gamma=gamma)
-    threads = worker_count(args.threads, cfg.trials)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     with open(args.config, "r", encoding="utf-8") as src:
@@ -99,8 +94,8 @@ def _cmd_rss(args) -> int:
     cfg = load_rss_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    series = load_rss(args.data)
     threads = worker_count(args.threads, cfg.resamples)
+    series = load_rss(args.data)
     rows, curves = rss_experiment(series, cfg, threads=threads)
     failures = [r["error"] for r in rows if "error" in r]
     os.makedirs(args.out, exist_ok=True)
@@ -121,36 +116,21 @@ def _cmd_rss(args) -> int:
 
 def _cmd_shrink(args) -> int:
     X = load_matrix(args.data)
-    p, n = X.shape
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "curve.csv")
-    prior = PriorSpec(mode=args.prior)
     if args.shrinker == "cq":
         raise ConfigError(
             "cq is a cross-product statistic, not a spectral curve; "
             "use it via `simulate` or `rss`"
         )
     if args.shrinker == "tyler":
-        scatter = tyler_estimator(X)
-        spec = eigh(scatter, n)
+        spec = eigh(tyler_estimator(X), X.shape[1])
         curve = ShrinkageCurve(values=1.0 / spec.eigenvalues, label="tyler")
         curve.to_csv(out_path, spec.eigenvalues)
-        print(f"shrink: wrote {out_path}")
-        return 0
-    spec = eigh(sample_covariance(X), n)
-    lw = lw_curve(spec.eigenvalues, p, n)
-    if args.shrinker == "proposed":
-        curve = proposed_shrinker(lw, prior)[0]
-    elif args.shrinker == "lw":
-        curve = lw_comparator(lw)
-    elif args.shrinker == "lappw":
-        b = lappw_select_b(lw, prior)
-        curve = ridge_shrinker(lw.lam, b, label="lappw")
-    elif args.shrinker == "hotelling":
-        curve = hotelling_shrinker(lw.lam)
     else:
-        curve = identity_shrinker(p)
-    curve.to_csv(out_path, lw.lam)
+        fit = fit_reference(X)
+        curve = spectral_curve(args.shrinker, fit, PriorSpec(mode=args.prior))
+        curve.to_csv(out_path, fit.curve.lam)
     print(f"shrink: wrote {out_path}")
     return 0
 

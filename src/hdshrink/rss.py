@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
 from .evaluate import roc
-from .scoring import check_method_options, check_methods, fit_and_score, map_indices
+from .scoring import check_methods, check_regime, fit_and_score, map_indices
 from .shrinkers import PriorSpec
 from .simulate import substream
 
@@ -194,8 +194,7 @@ class RssExperimentConfig:
                 f"detrend = moving_average needs a positive odd window, "
                 f"got {self.window}"
             )
-        check_methods(self.methods)
-        check_method_options(self.tyler_rho, self.lappw_grid_points)
+        check_methods(self)
 
 
 def rss_experiment(
@@ -209,8 +208,10 @@ def rss_experiment(
     run through scoring.map_indices (threads=None: one worker per core).
     Returns (rows, curves): scores.csv-style records, where a method that
     failed on a resample leaves one row whose "error" is its
-    scoring.Failure, and one pooled ROC per method.
+    scoring.Failure, and one pooled ROC per method.  A spectral method with
+    n at most the channel count is a RegimeError before any fit.
     """
+    check_regime(cfg.methods, series.p, cfg.n)
     work = detrend(series, cfg.detrend, cfg.window)
     inactive = work.inactive_indices()
     if cfg.n >= inactive.size:

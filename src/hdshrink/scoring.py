@@ -7,13 +7,16 @@ the raw quadratic form and its standardized score; the scatter fixed point
 and the cross-product comparator have no spectral standardization, so their
 standardized column repeats the raw score.  map_indices runs one
 fit_and_score task per trial or resample, in a pool with BLAS at one thread.
+parse_config reads either driver's config file into its config dataclass.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import logging
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -21,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import detector, shrinkers
-from .errors import ConfigError
+from .errors import ConfigError, RegimeError
 from .linalg import Spectrum, eigh, sample_covariance, single_threaded_blas
 from .mpkernel import LwCurve, lw_curve
 
@@ -50,25 +53,82 @@ def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
     return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
 
 
-def check_methods(methods) -> None:
-    """Reject an empty method list or an unknown method (ConfigError)."""
-    if not methods:
+def check_methods(cfg) -> None:
+    """Reject an empty method list, an unknown method, a tyler_rho outside
+    [0, 1) or a lappw grid of fewer than 2 points (ConfigError), so a bad
+    config fails at parse time instead of in every fit."""
+    if not cfg.methods:
         raise ConfigError("methods must name at least one method")
-    unknown = set(methods) - set(METHODS)
+    unknown = set(cfg.methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
-
-
-def check_method_options(tyler_rho, lappw_grid_points) -> None:
-    """Reject a tyler_rho outside [0, 1) or a lappw grid of fewer than 2
-    points (ConfigError), so a bad config fails at parse time instead of
-    in every fit."""
-    if not 0.0 <= tyler_rho < 1.0:
-        raise ConfigError(f"tyler_rho must lie in [0, 1), got {tyler_rho}")
-    if lappw_grid_points < 2:
+    if not 0.0 <= cfg.tyler_rho < 1.0:
+        raise ConfigError(f"tyler_rho must lie in [0, 1), got {cfg.tyler_rho}")
+    if cfg.lappw_grid_points < 2:
         raise ConfigError(
-            f"lappw_grid_points must be at least 2, got {lappw_grid_points}"
+            f"lappw_grid_points must be at least 2, got {cfg.lappw_grid_points}"
         )
+
+
+def check_regime(methods, p, n) -> None:
+    """Reject a spectral method when p >= n (RegimeError): the sample
+    covariance is then singular."""
+    if any(m in SPECTRAL_METHODS for m in methods) and p >= n:
+        raise RegimeError(f"spectral methods require p < n, got p={p}, n={n}")
+
+
+def _config_value(kind, text: str):
+    """One config value read as the field annotation kind says."""
+    if kind is tuple:
+        return tuple(item.strip() for item in text.split(",") if item.strip())
+    options = typing.get_args(kind)
+    if type(None) in options:  # an optional number
+        if text in ("auto", "none"):
+            return None
+        (kind,) = set(options) - {type(None)}
+    return kind(text)
+
+
+def parse_config(cls, text: str):
+    """Build the config dataclass cls from flat `key = value` lines.
+
+    Every field of cls is a key, read by its annotation: a tuple is a
+    comma-separated list, an optional number reads auto/none as None, and a
+    dataclass field (the prior) is set through one dotted key per field of
+    its own (prior.mode, prior.scale), starting from the class's own
+    default.  `#` starts a comment.
+    """
+    hints = typing.get_type_hints(cls)
+    kinds, nested = {}, {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            nested[f.name] = f.default_factory
+            sub_kinds = typing.get_type_hints(kind).items()
+            kinds.update({f"{f.name}.{sub}": k for sub, k in sub_kinds})
+        else:
+            kinds[f.name] = kind
+    kwargs = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in kinds:
+            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
+        try:
+            kwargs[key] = _config_value(kinds[key], value)
+        except ValueError as exc:
+            raise ConfigError(f"config line {lineno}: key {key!r}: {exc}") from exc
+    for name, default in nested.items():
+        keys = [k for k in kwargs if k.startswith(name + ".")]
+        sub = {k.split(".", 1)[1]: kwargs.pop(k) for k in keys}
+        kwargs[name] = dataclasses.replace(default(), **sub)
+    return cls(**kwargs)
 
 
 class _SpectralScorer:
@@ -114,22 +174,26 @@ class _CrossProductScorer:
         return raw.copy(), raw
 
 
+def spectral_curve(method, fit, prior, lappw_grid_points=10_000):
+    """The ShrinkageCurve of one of SPECTRAL_METHODS on a fitted reference."""
+    curve = fit.curve
+    if method == "proposed":
+        return shrinkers.proposed_shrinker(curve, prior)[0]
+    if method == "lw":
+        return shrinkers.lw_comparator(curve)
+    if method == "lappw":
+        b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points)
+        return shrinkers.ridge_shrinker(curve.lam, b, label="lappw")
+    if method == "hotelling":
+        return shrinkers.hotelling_shrinker(curve.lam)
+    return shrinkers.identity_shrinker(curve.p)
+
+
 def build_scorer(method, fit, prior, tyler_rho=0.1, lappw_grid_points=10_000):
     """Construct a callable Y -> (z_scores, raw_scores) for one method."""
     if method in SPECTRAL_METHODS:
-        curve = fit.curve
-        if method == "proposed":
-            values = shrinkers.proposed_shrinker(curve, prior)[0].values
-        elif method == "lw":
-            values = shrinkers.lw_comparator(curve).values
-        elif method == "lappw":
-            b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points)
-            values = shrinkers.ridge_shrinker(curve.lam, b, label="lappw").values
-        elif method == "hotelling":
-            values = shrinkers.hotelling_shrinker(curve.lam).values
-        else:
-            values = shrinkers.identity_shrinker(curve.p).values
-        return _SpectralScorer(fit, values)
+        curve = spectral_curve(method, fit, prior, lappw_grid_points)
+        return _SpectralScorer(fit, curve.values)
     if method == "tyler":
         return _TylerScorer(fit, tyler_rho)
     if method == "cq":
@@ -171,7 +235,10 @@ def fit_and_score(cfg, X, blocks, trial: int):
 
 
 def worker_count(threads: int | None, count: int) -> int:
-    """min(threads, cores, count), at least 1; threads=None means cores."""
+    """min(threads, cores, count), at least 1; threads=None means cores and
+    threads below 1 is a ConfigError."""
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     cores = os.cpu_count() or 1
     return max(1, min(cores if threads is None else threads, cores, count))
 

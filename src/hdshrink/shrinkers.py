@@ -67,8 +67,10 @@ class PriorSpec:
             raise ConfigError(
                 f"prior mode must be one of {PRIOR_MODES}, got {self.mode!r}"
             )
-        if self.scale <= 0:
-            raise ConfigError(f"prior scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ConfigError(
+                f"prior scale must be positive and finite, got {self.scale}"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,21 @@ fixed seed reproduces output byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, RegimeError
+from .errors import ConfigError, DataError
 from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
 from .scoring import (
-    SPECTRAL_METHODS,
-    check_method_options,
+    METHODS,
     check_methods,
+    check_regime,
     fit_and_score,
     map_indices,
+    parse_config,
 )
 from .shrinkers import PriorSpec
 
@@ -53,28 +53,25 @@ class ExperimentConfig:
     tests_per_trial_h1: int = 50
     component_dist: str = "uniform"
     seed: int = 0
-    methods: tuple = ("proposed", "lw", "lappw", "tyler", "cq", "hotelling", "identity")
+    methods: tuple = METHODS
     lappw_grid_points: int = 10_000
     tyler_rho: float = 0.1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.kappa < 1.0:
-            raise ConfigError(f"condition number must be >= 1, got {self.kappa}")
+        for name in ("trials", "tests_per_trial_h0", "tests_per_trial_h1"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not 1.0 <= self.kappa < np.inf:
+            raise ConfigError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.component_dist not in COMPONENT_DISTS:
             raise ConfigError(
                 f"component_dist must be one of {COMPONENT_DISTS}, "
                 f"got {self.component_dist!r}"
             )
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        check_methods(self.methods)
-        check_method_options(self.tyler_rho, self.lappw_grid_points)
-        if any(m in SPECTRAL_METHODS for m in self.methods) and self.p >= self.n:
-            raise RegimeError(
-                f"spectral methods require p < n, got p={self.p}, n={self.n}"
-            )
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+        check_methods(self)
+        check_regime(self.methods, self.p, self.n)
 
 
 @dataclass(frozen=True)
@@ -251,81 +248,6 @@ def write_scores_csv(outputs, path) -> None:
         fh.write("\n".join(scores_csv_lines(outputs)) + "\n")
 
 
-CONFIG_KEYS = {
-    "p": int,
-    "n": int,
-    "kappa": float,
-    "gamma": "gamma",
-    "prior.mode": str,
-    "prior.scale": float,
-    "trials": int,
-    "tests_per_trial_h0": int,
-    "tests_per_trial_h1": int,
-    "component_dist": str,
-    "seed": int,
-    "methods": "methods",
-    "lappw_grid_points": int,
-    "tyler_rho": float,
-}
-
-
-def parse_config_text(text: str, keys=CONFIG_KEYS) -> dict:
-    """Parse the flat `key = value` config format into keyword arguments.
-
-    `keys` maps each accepted key (the experiment config's by default) to
-    its type, or to "gamma" (a number, or auto/none for None) or "methods"
-    (a comma-separated list).  prior.mode and prior.scale stay under those
-    names for the caller's PriorSpec.
-    """
-    kwargs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if key in kwargs:
-            raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
-        kind = keys[key]
-        try:
-            if kind == "gamma":
-                value = None if value in ("auto", "none") else float(value)
-            elif kind == "methods":
-                value = tuple(m.strip() for m in value.split(",") if m.strip())
-            else:
-                value = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"config line {lineno}: key {key!r}: {exc}") from exc
-        kwargs[key] = value
-    return kwargs
-
-
-def config_from_text(text: str) -> ExperimentConfig:
-    kwargs = parse_config_text(text)
-    mode = kwargs.pop("prior.mode", "identity")
-    scale = kwargs.pop("prior.scale", 1.0)
-    return ExperimentConfig(prior=PriorSpec(mode, scale), **kwargs)
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "prior":
-            lines.append(f"prior.mode = {value.mode}")
-            lines.append(f"prior.scale = {value.scale:g}")
-        elif f.name == "methods":
-            lines.append(f"methods = {','.join(value)}")
-        elif f.name == "gamma":
-            lines.append(f"gamma = {'auto' if value is None else format(value, 'g')}")
-        else:
-            lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+        return parse_config(ExperimentConfig, fh.read())

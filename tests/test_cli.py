@@ -53,6 +53,25 @@ BAD_METHOD_OPTIONS = [
 ]
 
 
+# (key, value) that must fail at parse time, not in the run.
+BAD_NUMBERS = [
+    ("gamma", "nan"),
+    ("gamma", "inf"),
+    ("kappa", "nan"),
+    ("kappa", "inf"),
+    ("prior.scale", "nan"),
+    ("prior.scale", "inf"),
+    ("tests_per_trial_h0", "0"),
+    ("tests_per_trial_h1", "0"),
+]
+
+
+def _tiny_config_with(key, value):
+    """TINY_CONFIG with `key = value` in place of any line for key."""
+    lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key)]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "experiment.cfg"
@@ -174,6 +193,16 @@ class TestSimulateCommand:
 
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value", BAD_NUMBERS)
+    def test_bad_number_exits_2(self, tmp_path, key, value, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_tiny_config_with(key, value))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key.replace('.', ' ')} must be" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
     def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
@@ -313,6 +342,17 @@ class TestRssCommand:
         assert f"config error: {key} must" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
+    def test_spectral_method_with_n_at_most_channels_exits_2(self, tmp_path, capsys):
+        # 60 channels, n = 50: fitting would fail on a singular covariance.
+        data, cfg = _rss_inputs(
+            tmp_path, "n = 50\nresamples = 2\nmethods = proposed, lw, cq\n", p=60
+        )
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: spectral methods require p < n, got p=60, n=50" in err
+        assert not out.exists()
+
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"
         cfg.write_text("n = 10\n")
@@ -321,6 +361,28 @@ class TestRssCommand:
              "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "rss"])
+def test_threads_below_one_exits_2(
+    tmp_path, config_path, monkeypatch, capsys, command, threads
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit started")
+
+    monkeypatch.setattr(hdshrink.scoring, "fit_reference", no_fit)
+    out = tmp_path / "o"
+    args = [command, "--out", str(out), "--threads", threads]
+    if command == "simulate":
+        args += ["--config", str(config_path)]
+    else:
+        data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 2\n")
+        args += ["--config", str(cfg), "--data", str(data)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"config error: threads must be at least 1, got {threads}" in err
+    assert not out.exists()
 
 
 class TestShrinkCommand:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from hdshrink.rss import (
     rss_experiment,
     save_rss,
 )
-from hdshrink.rss_config import rss_config_from_text
+from hdshrink.scoring import parse_config
+from hdshrink.shrinkers import PriorSpec
 from hdshrink.simulate import substream
 
 
@@ -174,10 +177,35 @@ class TestRssExperiment:
 
 
 class TestRssConfig:
-    def test_parse(self):
-        cfg = rss_config_from_text(
+    def test_every_key_parses(self):
+        text = (
             "n = 120\nresamples = 4\ndetrend = moving_average\nwindow = 9\n"
             "seed = 2\nmethods = identity, cq\nprior.mode = identity\n"
+            "prior.scale = 3\ntyler_rho = 0.2\nlappw_grid_points = 50\n"
+        )
+        keys = {line.split(" = ")[0].split(".")[0] for line in text.splitlines()}
+        assert keys == {f.name for f in dataclasses.fields(RssExperimentConfig)}
+        assert parse_config(RssExperimentConfig, text) == RssExperimentConfig(
+            n=120,
+            resamples=4,
+            detrend="moving_average",
+            window=9,
+            seed=2,
+            methods=("identity", "cq"),
+            prior=PriorSpec("identity", 3.0),
+            tyler_rho=0.2,
+            lappw_grid_points=50,
+        )
+
+    @pytest.mark.parametrize("value", ["auto", "none"])
+    def test_unset_window(self, value):
+        assert parse_config(RssExperimentConfig, f"window = {value}\n").window is None
+
+    def test_parse(self):
+        cfg = parse_config(
+            RssExperimentConfig,
+            "n = 120\nresamples = 4\ndetrend = moving_average\nwindow = 9\n"
+            "seed = 2\nmethods = identity, cq\nprior.mode = identity\n",
         )
         assert cfg.n == 120 and cfg.window == 9
         assert cfg.methods == ("identity", "cq")
@@ -185,15 +213,15 @@ class TestRssConfig:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
-            rss_config_from_text("bandwidth = 3\n")
+            parse_config(RssExperimentConfig, "bandwidth = 3\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            rss_config_from_text("n = 10\nn = 20\n")
+            parse_config(RssExperimentConfig, "n = 10\nn = 20\n")
 
     def test_empty_method_list_rejected(self):
         with pytest.raises(ConfigError, match="at least one method"):
-            rss_config_from_text("n = 10\nmethods = ,\n")
+            parse_config(RssExperimentConfig, "n = 10\nmethods = ,\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -208,4 +236,4 @@ class TestRssConfig:
     )
     def test_detrend_checked_at_parse_time(self, text):
         with pytest.raises(ConfigError, match="detrend"):
-            rss_config_from_text(text)
+            parse_config(RssExperimentConfig, text)

@@ -11,6 +11,7 @@ from hdshrink.cli import main
 from hdshrink.errors import ConfigError, DataError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
+from hdshrink.scoring import parse_config
 from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
@@ -19,8 +20,6 @@ from hdshrink.simulate import (
     _signal,
     _spd_root,
     calibrate_gamma,
-    config_from_text,
-    config_to_text,
     load_config,
     make_covariance,
     run_trials,
@@ -393,22 +392,43 @@ class TestGammaCalibration:
 
 
 class TestConfigFile:
-    def test_roundtrip(self):
-        text = config_to_text(SMALL)
-        again = config_from_text(text)
-        assert again == SMALL
+    def test_every_key_parses(self):
+        text = (
+            "p = 60\nn = 100\nkappa = 50\ngamma = 2.5\n"
+            "prior.mode = covariance_matched\nprior.scale = 2\ntrials = 4\n"
+            "tests_per_trial_h0 = 7\ntests_per_trial_h1 = 9\n"
+            "component_dist = gaussian\nseed = 13\nmethods = lw, cq\n"
+            "lappw_grid_points = 300\ntyler_rho = 0.25\n"
+        )
+        keys = {line.split(" = ")[0].split(".")[0] for line in text.splitlines()}
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert parse_config(ExperimentConfig, text) == ExperimentConfig(
+            p=60,
+            n=100,
+            kappa=50.0,
+            gamma=2.5,
+            prior=PriorSpec("covariance_matched", 2.0),
+            trials=4,
+            tests_per_trial_h0=7,
+            tests_per_trial_h1=9,
+            component_dist="gaussian",
+            seed=13,
+            methods=("lw", "cq"),
+            lappw_grid_points=300,
+            tyler_rho=0.25,
+        )
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            config_from_text("p = 10\nbogus = 3\n")
+            parse_config(ExperimentConfig, "p = 10\nbogus = 3\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            config_from_text("p = 10\np = 20\n")
+            parse_config(ExperimentConfig, "p = 10\np = 20\n")
 
     def test_bad_value_reported(self):
         with pytest.raises(ConfigError, match="kappa"):
-            config_from_text("kappa = ten\n")
+            parse_config(ExperimentConfig, "kappa = ten\n")
 
     def test_empty_method_list_rejected(self, tmp_path):
         path = tmp_path / "cfg"
