@@ -24,6 +24,7 @@ from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
 from .scoring import (
     METHODS,
+    check_regime,
     fit_reference,
     spectral_curve,
     worker_count,
@@ -128,6 +129,7 @@ def _cmd_shrink(args) -> int:
         curve = ShrinkageCurve(values=1.0 / spec.eigenvalues, label="tyler")
         curve.to_csv(out_path, spec.eigenvalues)
     else:
+        check_regime((args.shrinker,), *X.shape)
         fit = fit_reference(X)
         curve = spectral_curve(args.shrinker, fit, PriorSpec(mode=args.prior))
         curve.to_csv(out_path, fit.curve.lam)

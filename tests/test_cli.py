@@ -88,6 +88,14 @@ def data_csv(tmp_path):
     return path
 
 
+def _wide_csv(tmp_path, shape):
+    """A p x n data CSV; shape (p, n) with p >= n has a singular sample
+    covariance."""
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, substream(1, "cli-wide").standard_normal(shape), delimiter=",")
+    return path
+
+
 def _fail_method(monkeypatch, failing):
     """Make the engine's build_scorer raise for one method."""
     real = hdshrink.scoring.build_scorer
@@ -399,6 +407,26 @@ class TestShrinkCommand:
         assert lines[0] == "lambda,value,label"
         assert len(lines) == 21
         assert lines[1].split(",")[2] == method
+
+    @pytest.mark.parametrize("shape", [(40, 30), (40, 40)])
+    @pytest.mark.parametrize("method", hdshrink.scoring.SPECTRAL_METHODS)
+    def test_p_at_least_n_exits_2(self, tmp_path, capsys, method, shape):
+        code = main(
+            ["shrink", "--data", str(_wide_csv(tmp_path, shape)),
+             "--shrinker", method, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "spectral methods require p < n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(40, 30), (40, 40)])
+    def test_tyler_with_p_at_least_n(self, tmp_path, shape):
+        out = tmp_path / "o"
+        code = main(
+            ["shrink", "--data", str(_wide_csv(tmp_path, shape)),
+             "--shrinker", "tyler", "--out", str(out)]
+        )
+        assert code == 0
+        assert len((out / "curve.csv").read_text().splitlines()) == shape[0] + 1
 
     def test_cq_rejected_as_config_error(self, tmp_path, data_csv):
         code = main(

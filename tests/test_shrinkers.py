@@ -1,12 +1,16 @@
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hdshrink.shrinkers
 from hdshrink.detector import criterion_batch, srht_many
 from hdshrink.errors import (
     ConfigError,
     ConvergenceError,
+    DegenerateStatisticError,
     DomainError,
     NumericError,
     RegimeError,
@@ -14,18 +18,21 @@ from hdshrink.errors import (
 from hdshrink.linalg import apply_spectral, eigh, sample_covariance
 from hdshrink.mpkernel import identity_mp_oracle, lw_curve
 from hdshrink.shrinkers import (
+    PRIOR_MODES,
     PriorSpec,
     fstar_curve,
     fstar_oracle,
     hbar_values,
     hotelling_shrinker,
     identity_shrinker,
+    lappw_criterion_bounds,
     lappw_select_b,
     lw_comparator,
     proposed_shrinker,
     ridge_shrinker,
     tyler_estimator,
 )
+from hdshrink.simulate import _draw, _spd_root, make_covariance, substream
 
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
 
@@ -176,6 +183,42 @@ class TestRidgeShrinker:
             ridge_shrinker(np.array([1.0]), 0.0)
 
 
+RIDGE_CONFIGS = [
+    (200, 300, 1e2, "uniform"),
+    (100, 300, 1e3, "gaussian"),
+    (800, 1200, 1e4, "uniform"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _ridge_fit(p, n, kappa, dist, seed):
+    """Shrinkage curve of one reference sample drawn from make_covariance."""
+    root = _spd_root(make_covariance(p, kappa, seed))
+    X = _draw(substream(seed, "ridge-fit"), root, dist, n)
+    return lw_curve(eigh(sample_covariance(X), n).eigenvalues, p, n)
+
+
+def _lappw_direct_reference(curve, prior, grid_points=10_000):
+    """The full-grid search that lappw_select_b replaced: criterion_batch on
+    every grid row, 4096 rows at a time, ties to the smaller b.  Returns the
+    intercept and u at every grid point."""
+    lam = curve.lam
+    hbar = hbar_values(prior, curve)
+    bs = np.geomspace(lam.mean(), 20.0 * lam.max(), int(grid_points))
+    best_u = -np.inf
+    best_b = bs[0]
+    us = []
+    for start in range(0, bs.size, 4096):
+        bchunk = bs[start : start + 4096]
+        u = criterion_batch(1.0 / (lam[None, :] + bchunk[:, None]), hbar, curve)
+        us.append(u)
+        j = int(np.argmax(u))
+        if u[j] > best_u:
+            best_u = float(u[j])
+            best_b = float(bchunk[j])
+    return best_b, np.concatenate(us)
+
+
 class TestLappwSelectB:
     def test_two_point_grid_picks_better_endpoint(self, identity_fit):
         _, _, curve = identity_fit
@@ -207,6 +250,90 @@ class TestLappwSelectB:
         _, _, curve = identity_fit
         with pytest.raises(ConfigError):
             lappw_select_b(curve, PriorSpec("identity"), 1)
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("config", RIDGE_CONFIGS)
+    def test_matches_direct_search(self, config, seed, mode):
+        curve = _ridge_fit(*config, seed)
+        prior = PriorSpec(mode)
+        assert lappw_select_b(curve, prior) == _lappw_direct_reference(curve, prior)[0]
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4])
+    def test_matches_direct_search_on_criterion_7_configs(self, kappa):
+        curve = _ridge_fit(200, 300, kappa, "uniform", 7)
+        prior = PriorSpec("identity")
+        assert lappw_select_b(curve, prior) == _lappw_direct_reference(curve, prior)[0]
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    @pytest.mark.parametrize("grid_points", [2, 50, 500])
+    def test_matches_direct_search_on_small_grids(self, grid_points, mode):
+        curve = _ridge_fit(200, 300, 1e2, "uniform", 1)
+        prior = PriorSpec(mode)
+        b_ref, _ = _lappw_direct_reference(curve, prior, grid_points)
+        assert lappw_select_b(curve, prior, grid_points) == b_ref
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.01, 3.0)])
+    def test_interior_argmax(self, alpha, beta):
+        # Unit prior weights with weights lam d = alpha (lam + beta mean(lam))
+        # favour f = 1/(lam + beta mean(lam)) when G is near the identity,
+        # a ridge inside the grid; the argmax stays interior for both scales.
+        fit = _ridge_fit(200, 300, 1e2, "uniform", 1)
+        d = alpha * (1.0 + beta * fit.lam.mean() / fit.lam)
+        curve = dataclasses.replace(fit, d_tilde=d)
+        prior = PriorSpec("identity")
+        b_ref, u = _lappw_direct_reference(curve, prior)
+        assert 0 < int(np.argmax(u)) < u.size - 1
+        assert np.any(np.diff(u) > 0) and np.any(np.diff(u) < 0)
+        assert lappw_select_b(curve, prior) == b_ref
+
+    @pytest.mark.parametrize("ties", [(5000, 9000), (100, 200)])
+    def test_tie_goes_to_smaller_b(self, monkeypatch, ties):
+        # Equal eigenvalues make every grid row proportional to the ones
+        # vector, so u is the same at every grid point and all of them are
+        # candidates; the stand-in criterion then ties two of them exactly.
+        curve = lw_curve(np.full(60, 2.0), 60, 200)
+        bs = np.geomspace(2.0, 40.0, 10_000)
+        tied = bs[list(ties)]
+
+        def tied_criterion(F, hbar, curve):
+            b = 1.0 / F[:, 0] - 2.0
+            return np.isclose(b[:, None], tied, rtol=1e-12).any(axis=1) * 1.0
+
+        monkeypatch.setattr(hdshrink.shrinkers, "criterion_batch", tied_criterion)
+        assert lappw_select_b(curve, PriorSpec("identity")) == tied[0]
+
+    @pytest.mark.parametrize(
+        "config", [(50, 120, 1e2, "gaussian"), *RIDGE_CONFIGS[::2]], ids=str
+    )
+    def test_bounds_hold_at_every_grid_point(self, config):
+        curve = _ridge_fit(*config, 2)
+        for mode in PRIOR_MODES:
+            prior = PriorSpec(mode)
+            _, u = _lappw_direct_reference(curve, prior)
+            bs = np.geomspace(curve.lam.mean(), 20.0 * curve.lam.max(), u.size)
+            u_lo, u_hi = lappw_criterion_bounds(curve, hbar_values(prior, curve), bs)
+            assert np.all((u_lo <= u) & (u <= u_hi))
+            assert np.max((u_hi - u_lo) / u) <= 1e-3  # informative, not vacuous
+
+    def test_degenerate_scale_raises(self, identity_fit):
+        _, _, fit = identity_fit
+        curve = dataclasses.replace(fit, d_tilde=np.zeros(fit.p))
+        with pytest.raises(DegenerateStatisticError):
+            _lappw_direct_reference(curve, PriorSpec("identity"))
+        with pytest.raises(DegenerateStatisticError):
+            lappw_select_b(curve, PriorSpec("identity"))
+
+    def test_peak_memory_below_a_third_of_the_grid_rows(self):
+        curve = _ridge_fit(800, 1200, 1e4, "uniform", 1)
+        grid_points = 10_000
+        tracemalloc.start()
+        try:
+            lappw_select_b(curve, PriorSpec("identity"), grid_points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_points * curve.p * 8 / 3
 
 
 def _tyler_input(p, n, seed=11):
