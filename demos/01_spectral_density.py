@@ -10,13 +10,13 @@ import os
 
 import numpy as np
 
-from hdshrink import density_estimate, eigh, identity_mp_oracle, sample_covariance
+from hdshrink import eigh, identity_mp_oracle, kernel_matrix, sample_covariance
 
 p, n = 400, 2000
 rng = np.random.default_rng(0)
 
 X = rng.standard_normal((p, n))
-spec = eigh(sample_covariance(X), n)
+spec = eigh(sample_covariance(X))
 lam = spec.eigenvalues
 
 oracle = identity_mp_oracle(p / n)
@@ -26,7 +26,7 @@ print(f"observed eigenvalue range [{lam.min():.4f}, {lam.max():.4f}]")
 
 grid = np.linspace(0.8 * a, 1.1 * b, 400)
 w_true = oracle.w(grid)
-w_hat = density_estimate(lam, n, grid)
+w_hat = kernel_matrix(lam, n, grid)[0].mean(axis=0)  # mean of the bumps
 
 hist, edges = np.histogram(lam, bins=40, density=True)
 centers = 0.5 * (edges[:-1] + edges[1:])

@@ -28,12 +28,12 @@ sigma = make_covariance(p, kappa, seed=1)
 vals, vecs = np.linalg.eigh(sigma)
 root = (vecs * np.sqrt(vals)) @ vecs.T
 X = root @ substream(1, "train").uniform(-np.sqrt(3.0), np.sqrt(3.0), (p, n))
-spec = eigh(sample_covariance(X), n)
+spec = eigh(sample_covariance(X))
 curve = lw_curve(spec.eigenvalues, p, n)
 prior = PriorSpec("identity")
 
 rows = {
-    "proposed": proposed_shrinker(curve, prior)[0].values,
+    "proposed": proposed_shrinker(curve, prior).values,
     "lw": lw_comparator(curve).values,
     "lappw": ridge_shrinker(curve.lam, lappw_select_b(curve, prior)).values,
     "hotelling": hotelling_shrinker(curve.lam).values,

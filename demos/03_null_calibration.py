@@ -32,9 +32,9 @@ zs = []
 for t in range(trials):
     rng = substream(9, "demo", t)
     X = root @ rng.standard_normal((p, n))
-    spec = eigh(sample_covariance(X), n)
+    spec = eigh(sample_covariance(X))
     curve = lw_curve(spec.eigenvalues, p, n)
-    shrink, _ = proposed_shrinker(curve, prior)
+    shrink = proposed_shrinker(curve, prior)
     y = root @ rng.standard_normal((p, 1))
     t2 = srht_many(y, X.mean(axis=1), spec, shrink.values)[0]
     zs.append(Standardizer(shrink.values, curve)(t2))

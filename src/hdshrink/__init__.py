@@ -7,7 +7,6 @@ from .detector import (
     Standardizer,
     criterion_batch,
     gamma_tilde_all,
-    mu_tilde,
     sigma_tilde2_batch,
     srht_many,
 )
@@ -24,14 +23,13 @@ from .errors import (
     RegimeError,
 )
 from .evaluate import RocCurve, auc, power_at_fpr, render, roc
-from .linalg import Spectrum, apply_spectral, eigh, quadratic_form, sample_covariance
+from .linalg import Spectrum, eigh, sample_covariance
 from .mpkernel import (
     DensityOracle,
     LwCurve,
     delta_curve,
-    density_estimate,
-    hilbert_estimate,
     identity_mp_oracle,
+    kernel_matrix,
     lw_curve,
     pv_hilbert,
     semicircle_kernel,
@@ -40,7 +38,7 @@ from .rss import RssExperimentConfig, RssSeries, detrend, load_rss, rss_experime
 from .shrinkers import (
     PriorSpec,
     ShrinkageCurve,
-    fstar_oracle,
+    fstar_curve,
     hbar_values,
     hotelling_shrinker,
     identity_shrinker,

@@ -10,15 +10,16 @@ import argparse
 import collections
 import csv
 import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError, HdshrinkError, NumericError
+from .errors import ConfigError, DataError, HdshrinkError, NumericError, ParseError
 from .evaluate import render, roc, write_summary_csv
-from .linalg import blas_thread_control, eigh, load_matrix
+from .linalg import blas_thread_control, eigh, load_matrix, single_threaded_blas
 from .mpkernel import identity_mp_oracle
 from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
@@ -124,15 +125,16 @@ def _cmd_shrink(args) -> int:
             "cq is a cross-product statistic, not a spectral curve; "
             "use it via `simulate` or `rss`"
         )
-    if args.shrinker == "tyler":
-        spec = eigh(tyler_estimator(X), X.shape[1])
-        curve = ShrinkageCurve(values=1.0 / spec.eigenvalues, label="tyler")
-        curve.to_csv(out_path, spec.eigenvalues)
-    else:
-        check_regime((args.shrinker,), *X.shape)
-        fit = fit_reference(X)
-        curve = spectral_curve(args.shrinker, fit, PriorSpec(mode=args.prior))
-        curve.to_csv(out_path, fit.curve.lam)
+    with single_threaded_blas():  # as in both drivers: bytes independent of BLAS
+        if args.shrinker == "tyler":
+            spec = eigh(tyler_estimator(X))
+            curve = ShrinkageCurve(values=1.0 / spec.eigenvalues, label="tyler")
+            curve.to_csv(out_path, spec.eigenvalues)
+        else:
+            check_regime((args.shrinker,), *X.shape)
+            fit = fit_reference(X)
+            curve = spectral_curve(args.shrinker, fit, PriorSpec(mode=args.prior))
+            curve.to_csv(out_path, fit.curve.lam)
     print(f"shrink: wrote {out_path}")
     return 0
 
@@ -149,8 +151,19 @@ def _cmd_roc(args) -> int:
                     f"got {reader.fieldnames}"
                 )
             for row in reader:
-                bucket = by_method.setdefault(row["method"], ([], []))
-                bucket[int(row["label_h1"])].append(float(row["score_z"]))
+                line, label, score = reader.line_num, row["label_h1"], row["score_z"]
+                if None in row or None in row.values():
+                    width = len(reader.fieldnames)
+                    raise ParseError(f"expected {width} fields", line=line)
+                if label not in ("0", "1"):
+                    raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
+                try:
+                    z = float(score)
+                except ValueError:
+                    z = math.nan
+                if not math.isfinite(z):
+                    raise ParseError(f"score_z {score!r} is not finite", line=line)
+                by_method.setdefault(row["method"], ([], []))[int(label)].append(z)
     except OSError as exc:
         raise DataError(f"cannot read scores file: {exc}") from exc
     if not by_method:

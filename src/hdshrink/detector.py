@@ -45,15 +45,6 @@ def srht_many(Y, xbar, spec: Spectrum, curve_values) -> np.ndarray:
     return f @ (proj * proj)
 
 
-def mu_tilde(f_vals, d_vals) -> float:
-    """Empirical centering p^{-1} sum_i f(lam_i) d(lam_i)."""
-    f = np.asarray(f_vals, dtype=float)
-    d = np.asarray(d_vals, dtype=float)
-    if f.shape != d.shape:
-        raise DimensionError("f and d value vectors must have equal length")
-    return float(np.mean(f * d))
-
-
 def gamma_tilde_all(F, curve: LwCurve) -> np.ndarray:
     """Smoothed resolvent correction of shrinker values, batched.
 
@@ -108,16 +99,16 @@ def standardization_scale(f_vals, curve: LwCurve) -> float:
 
 
 class Standardizer:
-    """Empirical centering mu and scale sigma of the statistic for one
-    shrinker on one curve; calling it maps raw statistics t2 (a number or
-    an array) to approximately standard-normal scores
-    z = (t2 - mu p) / (sigma sqrt(p)).
+    """Empirical centering mu = p^{-1} sum_i f(lam_i) d(lam_i) and scale
+    sigma of the statistic for one shrinker on one curve; calling it maps
+    raw statistics t2 (a number or an array) to approximately
+    standard-normal scores z = (t2 - mu p) / (sigma sqrt(p)).
     """
 
     def __init__(self, f_vals, curve: LwCurve):
         self.p = curve.p
-        self.mu = mu_tilde(f_vals, curve.d_tilde)
-        self.sigma = standardization_scale(f_vals, curve)
+        self.sigma = standardization_scale(f_vals, curve)  # checks the length
+        self.mu = float(np.mean(np.asarray(f_vals, dtype=float) * curve.d_tilde))
         if self.sigma <= 0.0 or not math.isfinite(self.sigma):
             raise DegenerateStatisticError(
                 f"standardization scale degenerate (sigma={self.sigma})"

@@ -62,17 +62,6 @@ def power_at_fpr(curve: RocCurve, alpha: float) -> float:
     return float(np.interp(alpha, uniq, best))
 
 
-def summary_rows(curves) -> list:
-    """One summary record per curve: method, auc, power at fixed levels."""
-    rows = []
-    for c in curves:
-        row = {"method": c.method, "auc": auc(c)}
-        for lvl in POWER_LEVELS:
-            row[f"power_at_{lvl:g}"] = power_at_fpr(c, lvl)
-        rows.append(row)
-    return rows
-
-
 def roc_corners(curve: RocCurve) -> RocCurve:
     """The staircase corners of curve, in order.
 
@@ -103,14 +92,12 @@ def write_roc_csv(curves, path) -> None:
 
 
 def write_summary_csv(curves, path) -> None:
+    """One line per curve: method, auc, and power at each of POWER_LEVELS."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,auc,power_at_1e-1,power_at_1e-2,power_at_1e-4\n")
-        for row in summary_rows(curves):
-            fh.write(
-                f"{row['method']},{row['auc']:.17g},"
-                f"{row['power_at_0.1']:.17g},{row['power_at_0.01']:.17g},"
-                f"{row['power_at_0.0001']:.17g}\n"
-            )
+        for c in curves:
+            values = [auc(c)] + [power_at_fpr(c, lvl) for lvl in POWER_LEVELS]
+            fh.write(c.method + "".join(f",{v:.17g}" for v in values) + "\n")
 
 
 _PALETTE = (
@@ -125,12 +112,13 @@ _PALETTE = (
 )
 
 _W, _H, _M = 640, 480, 60.0
+LOG_FPR_FLOOR = 1e-4  # left edge of the log false-alarm axis
 
 
-def _svg_coords(f, t, log_fpr, floor):
+def _svg_coords(f, t, log_fpr):
     if log_fpr:
-        f = np.clip(f, floor, 1.0)
-        x = (np.log10(f) - np.log10(floor)) / (0.0 - np.log10(floor))
+        lo = np.log10(LOG_FPR_FLOOR)
+        x = (np.log10(np.clip(f, LOG_FPR_FLOOR, 1.0)) - lo) / (0.0 - lo)
     else:
         x = f
     px = _M + x * (_W - 2 * _M)
@@ -138,7 +126,7 @@ def _svg_coords(f, t, log_fpr, floor):
     return px, py
 
 
-def render(curves, out_dir, log_fpr: bool = False, floor: float = 1e-4):
+def render(curves, out_dir, log_fpr: bool = False):
     """Write roc.csv plus a static SVG plot into out_dir.
 
     Both files hold only the staircase corners of each curve (see
@@ -169,7 +157,7 @@ def render(curves, out_dir, log_fpr: bool = False, floor: float = 1e-4):
     ]
     for i, c in enumerate(map(roc_corners, curves)):
         color = _PALETTE[i % len(_PALETTE)]
-        px, py = _svg_coords(c.fpr, c.tpr, log_fpr, floor)
+        px, py = _svg_coords(c.fpr, c.tpr, log_fpr)
         pts = " ".join(
             f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())
         )

@@ -1,6 +1,5 @@
-"""Dense symmetric linear algebra: sample covariance, eigendecomposition,
-spectral function application, quadratic forms and triangular solves, plus
-control of the BLAS thread count.
+"""Dense symmetric linear algebra: sample covariance, eigendecomposition
+and triangular solves, plus control of the BLAS thread count.
 
 Data matrices are p x n arrays whose columns are observations.  All
 operations are pure; returned arrays are freshly allocated.
@@ -87,7 +86,7 @@ def validate_symmetric(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-pairs of a symmetric matrix plus the (p, n) context.
+    """Eigen-pairs of a symmetric p x p matrix.
 
     eigenvalues are ascending; eigenvectors holds the matching orthonormal
     columns, each with its largest-magnitude component made positive so the
@@ -97,7 +96,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     p: int
-    n: int
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
@@ -109,11 +107,11 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def eigh(S: np.ndarray, n: int) -> Spectrum:
+def eigh(S: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix with deterministic signs.
 
     The input is symmetrized as (S + S') / 2 before decomposition to absorb
-    accumulated asymmetry.  ``n`` records the sample size that produced S.
+    accumulated asymmetry.
     """
     S = validate_symmetric(S)
     M = (S + S.T) / 2.0
@@ -129,32 +127,7 @@ def eigh(S: np.ndarray, n: int) -> Spectrum:
     signs = np.sign(vecs[anchor, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
     vecs = vecs * signs
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, p=S.shape[0], n=int(n))
-
-
-def apply_spectral(spec: Spectrum, curve_values: np.ndarray) -> np.ndarray:
-    """Rebuild sum_i c_i u_i u_i' for per-eigenvalue values c, keeping U fixed."""
-    c = np.asarray(curve_values, dtype=float)
-    if c.shape != (spec.p,):
-        raise DimensionError(
-            f"curve length {c.shape} does not match spectrum dimension {spec.p}"
-        )
-    if not np.all(np.isfinite(c)):
-        raise DataError("curve contains non-finite values")
-    U = spec.eigenvectors
-    M = (U * c) @ U.T
-    return (M + M.T) / 2.0
-
-
-def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
-    """v' M v for a symmetric matrix M."""
-    M = validate_symmetric(M)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (M.shape[0],):
-        raise DimensionError(
-            f"vector length {v.shape} does not match matrix dimension {M.shape[0]}"
-        )
-    return float(v @ M @ v)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, p=S.shape[0])
 
 
 def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:

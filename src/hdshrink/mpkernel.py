@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError
 
-DEFAULT_BANDWIDTH_EXPONENT = -1.0 / 3.0
+BANDWIDTH_EXPONENT = -1.0 / 3.0
+ORACLE_GRID_POINTS = 4001
 
 
 def semicircle_kernel(x):
@@ -49,47 +50,18 @@ def _check_spectrum(lam) -> np.ndarray:
     return lam
 
 
-def _mixture(lam, n, x, bandwidth_exponent, which):
-    lam = _check_spectrum(lam)
-    if n < 2:
-        raise DomainError(f"sample size n must be >= 2, got {n}")
-    delta = float(n) ** bandwidth_exponent
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = (np.atleast_1d(x)[:, None] - lam[None, :]) / (delta * lam[None, :])
-    k, K = semicircle_kernel(t)
-    vals = (k if which == "k" else K) / (delta * lam[None, :])
-    out = vals.mean(axis=1)
-    return float(out[0]) if scalar else out
+def kernel_matrix(lam, n, x):
+    """Density and Hilbert bump matrices (k_mat, K_mat) of the eigenvalues
+    lam at the points x, K_mat[j, i] = K((x_i - lam_j) / (D lam_j)) / (D lam_j)
+    with D = n**BANDWIDTH_EXPONENT, and k_mat likewise with k.
 
-
-def density_estimate(lam, n, x, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT):
-    """Kernel estimate of the limiting spectral density at x.
-
-    Averages per-eigenvalue bumps of width n**bandwidth_exponent * lam_i, so
-    the estimate integrates to one over any grid covering all bumps.
-    """
-    return _mixture(lam, n, x, bandwidth_exponent, "k")
-
-
-def hilbert_estimate(lam, n, x, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT):
-    """Kernel estimate of the Hilbert transform of the spectral density at x."""
-    return _mixture(lam, n, x, bandwidth_exponent, "K")
-
-
-def kernel_matrix(lam, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT):
-    """Density and Hilbert bump matrices (k_mat, K_mat) at the eigenvalues,
-    K_mat[j, i] = K((lam_i - lam_j) / (D lam_j)) / (D lam_j), and k_mat
-    likewise with k.
-
-    Row j is the scaled bump centred at lam_j, evaluated at every
-    eigenvalue; the column means are the density and Hilbert estimates at
-    lam_i.
+    Row j is the scaled bump centred at lam_j; the column means are the
+    kernel estimates of the spectral density and of its Hilbert transform
+    at x_i.  Each bump integrates to one.
     """
     lam = _check_spectrum(lam)
-    delta = float(n) ** bandwidth_exponent
-    width = delta * lam[:, None]
-    t = (lam[None, :] - lam[:, None]) / width
+    width = float(n) ** BANDWIDTH_EXPONENT * lam[:, None]
+    t = (np.atleast_1d(x)[None, :] - lam[:, None]) / width
     k, K = semicircle_kernel(t)
     return k / width, K / width
 
@@ -113,13 +85,8 @@ class LwCurve:
     def p(self) -> int:
         return self.lam.shape[0]
 
-    def to_csv(self, path) -> None:
-        header = "lambda,w_tilde,hw_tilde,d_tilde"
-        data = np.column_stack([self.lam, self.w_tilde, self.hw_tilde, self.d_tilde])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
-
-def lw_curve(lam, p, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT) -> LwCurve:
+def lw_curve(lam, p, n) -> LwCurve:
     """Evaluate the observable shrinkage curve at each sample eigenvalue.
 
     d(x) = x / ([1 - p/n - (p/n) pi x Hw~(x)]^2 + (p/n)^2 pi^2 x^2 w~(x)^2),
@@ -131,9 +98,9 @@ def lw_curve(lam, p, n, bandwidth_exponent=DEFAULT_BANDWIDTH_EXPONENT) -> LwCurv
     if p >= n:
         raise RegimeError(f"shrinkage curve requires p < n, got p={p}, n={n}")
     phi = p / n
-    dmat, hmat = kernel_matrix(lam, n, bandwidth_exponent)
-    # Means over j in [i, j] order: the same sums as density_estimate and
-    # hilbert_estimate at x = lam, bit for bit.
+    dmat, hmat = kernel_matrix(lam, n, lam)
+    # Means over j along contiguous [i, j] rows (pairwise summation); a mean
+    # over axis 0 adds in another order and moves the last bits of d.
     w = np.ascontiguousarray(dmat.T).mean(axis=1)
     hw = np.ascontiguousarray(hmat.T).mean(axis=1)
     den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (
@@ -262,13 +229,13 @@ class DensityOracle:
     hw_grid: np.ndarray
 
 
-def identity_mp_oracle(phi: float, grid_points: int = 4001) -> DensityOracle:
+def identity_mp_oracle(phi: float) -> DensityOracle:
     """Oracle for identity population covariance at aspect ratio phi.
 
     The density is the classical square-root law on
     [(1 - sqrt(phi))^2, (1 + sqrt(phi))^2]; its Hilbert transform is
-    tabulated by principal-value quadrature; the shrinkage limit is
-    identically one on the support.
+    tabulated by principal-value quadrature on ORACLE_GRID_POINTS nodes; the
+    shrinkage limit is identically one on the support.
     """
     if not (0.0 < phi < 1.0):
         raise DomainError(f"aspect ratio must lie in (0, 1), got {phi}")
@@ -288,7 +255,7 @@ def identity_mp_oracle(phi: float, grid_points: int = 4001) -> DensityOracle:
         return float(out) if out.ndim == 0 else out
 
     pad = 0.25 * (b - a)
-    grid = np.linspace(a - pad, b + pad, grid_points)
+    grid = np.linspace(a - pad, b + pad, ORACLE_GRID_POINTS)
     w_grid = w(grid)
     hw_grid = pv_hilbert_nodes(w_grid, grid)
     valid = ~np.isnan(hw_grid)

@@ -23,17 +23,6 @@ from .simulate import substream
 
 
 @dataclass(frozen=True)
-class RssSchema:
-    channel_count: int = 182
-
-    @property
-    def header(self) -> list:
-        return ["t", "label"] + [
-            f"ch_{i:04d}" for i in range(1, self.channel_count + 1)
-        ]
-
-
-@dataclass(frozen=True)
 class RssSeries:
     """Sensor time series: T timestamps, T x p channel matrix, activity mask."""
 
@@ -57,15 +46,12 @@ class RssSeries:
     def p(self) -> int:
         return self.channels.shape[1]
 
-    def inactive_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.activity)
 
-
-def load_rss(path, schema: RssSchema | None = None) -> RssSeries:
+def load_rss(path) -> RssSeries:
     """Parse and validate an RSS CSV; errors carry the offending line.
 
-    With schema=None the channel count is inferred from the header, which
-    must still read exactly t,label,ch_0001,...
+    The channel count is inferred from the header, which must read exactly
+    t,label,ch_0001,...
     """
     timestamps, labels, rows = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -74,11 +60,9 @@ def load_rss(path, schema: RssSchema | None = None) -> RssSeries:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file", line=1) from None
-        if schema is None:
-            if len(header) < 3:
-                raise ParseError(f"header too short: {header}", line=1)
-            schema = RssSchema(channel_count=len(header) - 2)
-        expected = schema.header
+        if len(header) < 3:
+            raise ParseError(f"header too short: {header}", line=1)
+        expected = ["t", "label"] + [f"ch_{i:04d}" for i in range(1, len(header) - 1)]
         if header != expected:
             missing = [c for c in expected if c not in header]
             if missing:
@@ -120,18 +104,6 @@ def load_rss(path, schema: RssSchema | None = None) -> RssSeries:
         channels=np.vstack(rows),
         activity=np.array(labels),
     )
-
-
-def save_rss(series: RssSeries, path) -> None:
-    schema = RssSchema(channel_count=series.p)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.header)
-        for t, act, row in zip(series.timestamps, series.activity, series.channels):
-            writer.writerow(
-                [format(t, ".17g"), "1" if act else "0"]
-                + [format(v, ".17g") for v in row]
-            )
 
 
 def detrend(series: RssSeries, method: str = "channel_mean", window: int | None = None):
@@ -213,7 +185,7 @@ def rss_experiment(
     """
     check_regime(cfg.methods, series.p, cfg.n)
     work = detrend(series, cfg.detrend, cfg.window)
-    inactive = work.inactive_indices()
+    inactive = np.flatnonzero(~work.activity)
     if cfg.n >= inactive.size:
         raise DataError(
             f"reference cardinality n={cfg.n} needs more than n inactive "

@@ -48,7 +48,7 @@ class FittedReference:
 def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
     X = np.asarray(X, dtype=float)
     S = sample_covariance(X)
-    spec = eigh(S, X.shape[1])
+    spec = eigh(S)
     curve = lw_curve(spec.eigenvalues, X.shape[0], X.shape[1]) if need_curve else None
     return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
 
@@ -178,7 +178,7 @@ def spectral_curve(method, fit, prior, lappw_grid_points=10_000):
     """The ShrinkageCurve of one of SPECTRAL_METHODS on a fitted reference."""
     curve = fit.curve
     if method == "proposed":
-        return shrinkers.proposed_shrinker(curve, prior)[0]
+        return shrinkers.proposed_shrinker(curve, prior)
     if method == "lw":
         return shrinkers.lw_comparator(curve)
     if method == "lappw":

@@ -36,6 +36,7 @@ from .mpkernel import (
 
 PRIOR_MODES = ("identity", "covariance_matched")
 GRID_CHUNK = 4096
+TYLER_TOL = 1e-8  # relative Frobenius change that stops tyler_estimator
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,6 @@ class PriorSpec:
             )
 
 
-@dataclass(frozen=True)
-class ProposedShrinkIntermediates:
-    """Per-eigenvalue pieces of the proposed shrinker, exposed for testing."""
-
-    H_n: np.ndarray
-    g_n: np.ndarray
-    Gbar_n: np.ndarray
-    xi_n: np.ndarray
-    eta_n: np.ndarray
-
-
 def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     """Prior weight at each eigenvalue: ones for identity, the shrinkage
     curve itself when the prior matches the covariance."""
@@ -98,7 +88,7 @@ def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     return prior.scale * np.asarray(curve.d_tilde, dtype=float)
 
 
-def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
+def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageCurve:
     """Criterion-optimal shrinker values at the sample eigenvalues.
 
     With Kmat[j, i] the scaled Hilbert kernel of eigenvalue j at
@@ -111,8 +101,8 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
         eta_j   = (Gbar_j^2 H_j + Gbar_j g_j hbar_j) / (d_j x_j)
         f(x_i)  = xi_i - p^{-1} sum_j eta_j Kmat[j, i]
 
-    clipped at zero after the full evaluation.  Returns the curve and the
-    intermediates.  An explicit hbar vector overrides the prior's weights.
+    clipped at zero after the full evaluation.  An explicit hbar vector
+    overrides the prior's weights.
     """
     lam = curve.lam
     p = curve.p
@@ -138,72 +128,47 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None):
     xi_n = (g_n * g_n * hbar + g_n * Gbar_n * H_n) / denom
     eta_n = (Gbar_n * Gbar_n * H_n + Gbar_n * g_n * hbar) / denom
     f = xi_n - (eta_n @ K) / p
-    values = np.maximum(f, 0.0)
-    inter = ProposedShrinkIntermediates(
-        H_n=H_n, g_n=g_n, Gbar_n=Gbar_n, xi_n=xi_n, eta_n=eta_n
-    )
-    return ShrinkageCurve(values=values, label="proposed"), inter
+    return ShrinkageCurve(values=np.maximum(f, 0.0), label="proposed")
 
 
-def _fstar_tables(oracle: DensityOracle, hbar):
-    """Tabulate the integrand pieces of the limiting optimal shrinker."""
-    grid = oracle.grid
-    w = oracle.w_grid
-    hw = np.nan_to_num(oracle.hw_grid)
-    phi = oracle.phi
-    delta = oracle.delta(grid)
-    hb = np.asarray(hbar(grid), dtype=float)
-    if hb.shape != grid.shape:
-        hb = np.full(grid.shape, float(hbar(grid[0])))
-    h = hb * w
-    H = np.nan_to_num(pv_hilbert_nodes(h, grid))
-    g = 1.0 - phi - phi * np.pi * grid * hw
-    # (G^2 H + G g h) / a reduces to w * (phi pi) * (phi pi x H - g hbar) / delta
-    q = np.where(
-        w > 0.0,
-        phi * np.pi * w * (phi * np.pi * grid * H - g * hb) / delta,
-        0.0,
-    )
-    return grid, w, hw, delta, hb, H, g, q
+def _hbar_at(hbar, x) -> np.ndarray:
+    """The prior weight function at the points x, broadcast when it
+    returns one number."""
+    hb = np.asarray(hbar(x), dtype=float)
+    return hb if hb.shape == x.shape else np.full(x.shape, float(hbar(x[0])))
 
 
-def fstar_oracle(oracle: DensityOracle, hbar, x) -> float:
-    """Limiting optimal shrinker at x, strictly inside the support.
+def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
+    """Limiting optimal shrinker at the points xs, strictly inside the
+    support.
 
     f* = (g^2 h + g G H) / a - H[(G^2 H + G g h) / a], with every Hilbert
     transform computed by principal-value quadrature on the oracle grid.
     """
-    a, b = oracle.support
-    if not (a < x < b):
-        raise DomainError(f"x={x} is not strictly inside the support ({a}, {b})")
-    grid, w, hw, _, _, H, g, q = _fstar_tables(oracle, hbar)
-    return float(_fstar_eval(oracle, hbar, np.asarray([x]), grid, hw, H, g, q)[0])
-
-
-def _fstar_eval(oracle, hbar, xs, grid, hw, H, g, q):
-    phi = oracle.phi
-    valid = ~np.isnan(oracle.hw_grid)
-    Hw_x = np.interp(xs, grid[valid], oracle.hw_grid[valid])
-    Hvalid = slice(2, grid.shape[0] - 2)
-    H_x = np.interp(xs, grid[Hvalid], H[Hvalid])
-    hb_x = np.asarray(hbar(xs), dtype=float)
-    if hb_x.shape != xs.shape:
-        hb_x = np.full(xs.shape, float(hbar(xs[0])))
-    delta_x = oracle.delta(xs)
-    g_x = 1.0 - phi - phi * np.pi * xs * Hw_x
-    term1 = g_x * g_x * hb_x / (xs * delta_x) - phi * np.pi * g_x * H_x / delta_x
-    term2 = np.array([pv_hilbert(q, grid, float(x)) for x in xs])
-    return term1 - term2
-
-
-def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
-    """fstar_oracle evaluated at an array of interior points."""
     xs = np.asarray(xs, dtype=float)
     a, b = oracle.support
     if np.any(xs <= a) or np.any(xs >= b):
         raise DomainError("all evaluation points must lie strictly inside the support")
-    grid, w, hw, _, _, H, g, q = _fstar_tables(oracle, hbar)
-    return _fstar_eval(oracle, hbar, xs, grid, hw, H, g, q)
+    grid, w, phi = oracle.grid, oracle.w_grid, oracle.phi
+    hb = _hbar_at(hbar, grid)
+    H = np.nan_to_num(pv_hilbert_nodes(hb * w, grid))
+    g = 1.0 - phi - phi * np.pi * grid * np.nan_to_num(oracle.hw_grid)
+    # (G^2 H + G g h) / a reduces to w * (phi pi) * (phi pi x H - g hbar) / delta
+    q = np.where(
+        w > 0.0,
+        phi * np.pi * w * (phi * np.pi * grid * H - g * hb) / oracle.delta(grid),
+        0.0,
+    )
+    valid = ~np.isnan(oracle.hw_grid)
+    Hw_x = np.interp(xs, grid[valid], oracle.hw_grid[valid])
+    Hvalid = slice(2, grid.shape[0] - 2)
+    H_x = np.interp(xs, grid[Hvalid], H[Hvalid])
+    delta_x = oracle.delta(xs)
+    g_x = 1.0 - phi - phi * np.pi * xs * Hw_x
+    term1 = g_x * g_x * _hbar_at(hbar, xs) / (xs * delta_x)
+    term1 -= phi * np.pi * g_x * H_x / delta_x
+    term2 = np.array([pv_hilbert(q, grid, float(x)) for x in xs])
+    return term1 - term2
 
 
 def lw_comparator(curve: LwCurve) -> ShrinkageCurve:
@@ -349,14 +314,12 @@ def _chebyshev_basis(x, n: int) -> np.ndarray:
     return t
 
 
-def tyler_estimator(
-    X, rho: float = 0.1, tol: float = 1e-8, max_iter: int = 500
-) -> np.ndarray:
+def tyler_estimator(X, rho: float = 0.1, max_iter: int = 500) -> np.ndarray:
     """Regularized scatter M-estimator fixed point, trace-normalized.
 
     Iterates S <- (1 - rho) (p/n) sum_i x_i x_i' / (x_i' S^{-1} x_i) + rho I
     on centered samples, rescaling to trace p each step, until the relative
-    Frobenius change is below tol.
+    Frobenius change is at most TYLER_TOL.
     """
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
@@ -392,10 +355,10 @@ def tyler_estimator(
         updated = (updated + updated.T) / 2.0
         residual = np.linalg.norm(updated - sigma) / np.linalg.norm(sigma)
         sigma = updated
-        if residual <= tol:
+        if residual <= TYLER_TOL:
             return sigma
     raise ConvergenceError(
-        f"tyler_estimator did not reach tol={tol} in {max_iter} iterations "
+        f"tyler_estimator did not reach tol={TYLER_TOL} in {max_iter} iterations "
         f"(last residual {residual:.3e})",
         residual=residual,
     )

@@ -19,9 +19,8 @@ from hdshrink.detector import (
 from hdshrink.evaluate import auc, roc
 from hdshrink.linalg import eigh, sample_covariance
 from hdshrink.mpkernel import (
-    density_estimate,
-    hilbert_estimate,
     identity_mp_oracle,
+    kernel_matrix,
     lw_curve,
     pv_hilbert,
     semicircle_kernel,
@@ -56,7 +55,7 @@ def _report(num, name, ok, detail):
 def _identity_curve(p, n, seed):
     rng = substream(seed, "acc-identity")
     X = rng.standard_normal((p, n))
-    spec = eigh(sample_covariance(X), n)
+    spec = eigh(sample_covariance(X))
     return spec, lw_curve(spec.eigenvalues, p, n)
 
 
@@ -80,7 +79,7 @@ def test_criterion_2_convergence_rate_scaling():
         for seed in range(10):
             rng = substream(2000 + seed, "acc-rate", int(n))
             X = rng.standard_normal((p, n))
-            spec = eigh(sample_covariance(X), n)
+            spec = eigh(sample_covariance(X))
             errs.append(np.abs(lw_curve(spec.eigenvalues, p, n).d_tilde - 1.0).mean())
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
@@ -91,20 +90,18 @@ def test_criterion_2_convergence_rate_scaling():
 
 def test_criterion_3_kernel_hilbert_oracle_agreement():
     start = time.time()
-    spec, _ = _identity_curve(200, 1000, seed=3)
-    lam, n = spec.eigenvalues, spec.n
+    spec, curve = _identity_curve(200, 1000, seed=3)
+    lam, n = spec.eigenvalues, curve.n
     delta = n ** (-1.0 / 3.0)
     step = delta * lam.min() / 20.0
     grid = np.arange(lam.min() * (1 - 2 * delta) - 0.05,
                      lam.max() * (1 + 2 * delta) + 0.05, step)
-    w = density_estimate(lam, n, grid)
+    w = kernel_matrix(lam, n, grid)[0].mean(axis=0)
     integral = float(np.sum(0.5 * (w[1:] + w[:-1]) * step))
     margin = 4 * delta * lam.mean()
     interior = grid[(grid > lam.min() + margin) & (grid < lam.max() - margin)][::20]
-    sup = max(
-        abs(pv_hilbert(w, grid, float(x)) - hilbert_estimate(lam, n, float(x)))
-        for x in interior
-    )
+    hw = kernel_matrix(lam, n, interior)[1].mean(axis=0)
+    sup = max(abs(pv_hilbert(w, grid, float(x)) - h) for x, h in zip(interior, hw))
     elapsed = time.time() - start
     ok = sup <= 1e-2 and abs(integral - 1.0) <= 1e-3 and elapsed < 10
     _report(3, "kernel vs principal-value quadrature", ok,
@@ -139,9 +136,9 @@ def test_criterion_4_null_standardization_calibration():
     zs = np.empty(trials)
     for t in range(trials):
         X = root @ rng.standard_normal((p, n))
-        spec = eigh(sample_covariance(X), n)
+        spec = eigh(sample_covariance(X))
         curve = lw_curve(spec.eigenvalues, p, n)
-        shrink, _ = proposed_shrinker(curve, prior)
+        shrink = proposed_shrinker(curve, prior)
         y = root @ rng.standard_normal((p, 1))
         t2 = srht_many(y, X.mean(axis=1), spec, shrink.values)[0]
         zs[t] = Standardizer(shrink.values, curve)(t2)
@@ -168,9 +165,9 @@ def test_criterion_5_variance_estimator_consistency():
     for seed in range(20):
         rng = substream(500 + seed, "acc-var")
         X = root @ rng.standard_normal((p, n))
-        spec = eigh(sample_covariance(X), n)
+        spec = eigh(sample_covariance(X))
         curve = lw_curve(spec.eigenvalues, p, n)
-        shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
+        shrink = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
         oracle = float(np.einsum("ij,ji->", fS @ sigma, fS @ sigma)) / p
         rel = abs(sigma_tilde2_batch(shrink.values[None, :], curve)[0] / oracle - 1.0)
@@ -197,11 +194,11 @@ def test_criterion_6_criterion_optimality():
             for seed in range(10):
                 rng = substream(600 + seed, "acc-opt", cov_name)
                 X = root @ rng.standard_normal((p, n))
-                spec = eigh(sample_covariance(X), n)
+                spec = eigh(sample_covariance(X))
                 curve = lw_curve(spec.eigenvalues, p, n)
                 hbar = np.ones(p) if mode == "identity" else curve.d_tilde
                 u_prop = criterion_batch(
-                    proposed_shrinker(curve, prior)[0].values[None, :], hbar, curve
+                    proposed_shrinker(curve, prior).values[None, :], hbar, curve
                 )[0]
                 comparators = [
                     lw_comparator(curve).values,
@@ -274,9 +271,9 @@ def test_criterion_8_limit_shrinker_agreement():
         for seed in range(5):
             rng = substream(800 + seed, "acc-fstar", n)
             X = rng.standard_normal((p, n))
-            spec = eigh(sample_covariance(X), n)
+            spec = eigh(sample_covariance(X))
             curve = lw_curve(spec.eigenvalues, p, n)
-            shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
+            shrink = proposed_shrinker(curve, PriorSpec("identity"))
             xs = np.clip(curve.lam, a + 1e-4 * (b - a), b - 1e-4 * (b - a))
             fs = fstar_curve(oracle, ONES, xs)
             per_seed.append(float(np.abs(shrink.values - fs).mean()))
@@ -317,7 +314,7 @@ def test_criterion_9_exactness_micro_suite():
     k2, K2 = semicircle_kernel(2.0)
     checks.append(("kernel at edge", k2 == 0.0 and abs(K2 + 1 / np.pi) <= 1e-15))
     checks.append(
-        ("density peak", abs(density_estimate([1.0], 1000, 1.0) - 10 / np.pi) <= 1e-12)
+        ("density peak", abs(kernel_matrix([1.0], 1000, 1.0)[0][0, 0] - 10 / np.pi) <= 1e-12)
     )
 
     # gamma-correction double loop at one index

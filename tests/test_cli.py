@@ -14,9 +14,11 @@ import hdshrink.scoring
 import hdshrink.shrinkers
 from hdshrink.cli import main
 from hdshrink.errors import DegenerateStatisticError
-from hdshrink.rss import RssSeries, save_rss
+from hdshrink.rss import RssSeries
 from hdshrink.shrinkers import ShrinkageCurve
 from hdshrink.simulate import substream
+
+from conftest import write_rss_csv
 
 TINY_CONFIG = """\
 p = 44
@@ -134,7 +136,7 @@ def _rss_inputs(tmp_path, config_text, T=90, p=4):
     channels[activity] += 2.5
     series = RssSeries(np.arange(T, dtype=float), channels, activity)
     data = tmp_path / "rss.csv"
-    save_rss(series, data)
+    write_rss_csv(series, data)
     cfg = tmp_path / "rss.cfg"
     cfg.write_text(config_text)
     return data, cfg
@@ -240,7 +242,7 @@ class TestSimulateCommand:
         self, tmp_path, config_path, monkeypatch
     ):
         def zero_shrinker(curve, prior, hbar=None):
-            return ShrinkageCurve(values=np.zeros(curve.p), label="proposed"), None
+            return ShrinkageCurve(values=np.zeros(curve.p), label="proposed")
 
         monkeypatch.setattr(hdshrink.shrinkers, "proposed_shrinker", zero_shrinker)
         out = tmp_path / "run"
@@ -435,6 +437,30 @@ class TestShrinkCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["proposed", "tyler"])
+    def test_bytes_independent_of_blas_threads(self, tmp_path, method):
+        # Large enough that OpenBLAS splits its products over threads.
+        control = hdshrink.linalg.blas_thread_control()
+        if control is None or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs the OpenBLAS thread setter and two cores")
+        get, set_ = control
+        data = tmp_path / "X.csv"
+        scales = np.geomspace(1.0, 10.0, 300)[:, None]
+        X = scales * substream(1, "cli-blas").standard_normal((300, 500))
+        np.savetxt(data, X, delimiter=",")
+        previous = get()
+        curves = []
+        try:
+            for count in (2, 1):
+                set_(count)
+                out = tmp_path / f"blas{count}"
+                args = ["shrink", "--data", str(data), "--shrinker", method]
+                assert main(args + ["--out", str(out)]) == 0
+                curves.append((out / "curve.csv").read_bytes())
+        finally:
+            set_(previous)
+        assert curves[0] == curves[1]
+
 
 class TestRocCommand:
     def test_summary_and_svg(self, tmp_path, config_path):
@@ -447,6 +473,21 @@ class TestRocCommand:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "method,auc,power_at_1e-1,power_at_1e-2,power_at_1e-4"
         assert len(summary) == 4  # three methods
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,proposed,2,1.5,1.5", "0,proposed,1,abc,1.5", "0,proposed",
+         "0,proposed,1,nan,1.5", "0,proposed,1,inf,1.5"],
+    )
+    def test_malformed_row_exits_3_with_line(self, tmp_path, capsys, row):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "trial,method,label_h1,score_z,score_raw\n0,proposed,0,0.5,0.5\n"
+            f"{row}\n"
+        )
+        code = main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "data error: line 3: " in capsys.readouterr().err
 
     def test_missing_scores_exits_3(self, tmp_path):
         code = main(

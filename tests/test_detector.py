@@ -8,14 +8,13 @@ from hdshrink.detector import (
     Standardizer,
     criterion_batch,
     gamma_tilde_all,
-    mu_tilde,
     sigma_tilde2_batch,
     sigma_tilde_unit_norms,
     srht_many,
     standardization_scale,
 )
 from hdshrink.errors import DegenerateStatisticError, DimensionError
-from hdshrink.linalg import apply_spectral, eigh, quadratic_form, sample_covariance
+from hdshrink.linalg import eigh, sample_covariance
 from hdshrink.mpkernel import lw_curve, semicircle_kernel
 from hdshrink.shrinkers import PriorSpec, hotelling_shrinker, proposed_shrinker
 
@@ -24,7 +23,7 @@ class TestSrht:
     def test_ones_curve_is_squared_distance(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, 12))
-        spec = eigh(sample_covariance(X), 12)
+        spec = eigh(sample_covariance(X))
         y = rng.standard_normal(5)
         xbar = X.mean(axis=1)
         assert srht_many(y[:, None], xbar, spec, np.ones(5))[0] == pytest.approx(
@@ -34,63 +33,65 @@ class TestSrht:
     def test_zero_at_reference_mean(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((4, 9))
-        spec = eigh(sample_covariance(X), 9)
+        spec = eigh(sample_covariance(X))
         xbar = X.mean(axis=1)
         assert srht_many(xbar[:, None], xbar, spec, np.ones(4))[0] == 0.0
 
     def test_two_path_consistency(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 20))
-        spec = eigh(sample_covariance(X), 20)
+        spec = eigh(sample_covariance(X))
         curve = rng.uniform(0.1, 2.0, 4)
         y = rng.standard_normal(4)
         xbar = X.mean(axis=1)
         direct = srht_many(y[:, None], xbar, spec, curve)[0]
-        via_matrix = quadratic_form(apply_spectral(spec, curve), y - xbar)
+        M = (spec.eigenvectors * curve) @ spec.eigenvectors.T
+        via_matrix = (y - xbar) @ ((M + M.T) / 2.0) @ (y - xbar)
         assert direct == pytest.approx(via_matrix, abs=1e-10)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((4, 9))
-        spec = eigh(sample_covariance(X), 9)
+        spec = eigh(sample_covariance(X))
         with pytest.raises(DimensionError):
             srht_many(np.ones((5, 1)), np.ones(4), spec, np.ones(4))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 15))
-        spec = eigh(sample_covariance(X), 15)
+        spec = eigh(sample_covariance(X))
         curve = rng.uniform(0.5, 1.5, 6)
         xbar = X.mean(axis=1)
         Y = rng.standard_normal((6, 7))
         batch = srht_many(Y, xbar, spec, curve)
-        M = apply_spectral(spec, curve)
-        singles = [quadratic_form(M, Y[:, j] - xbar) for j in range(7)]
+        M = (spec.eigenvectors * curve) @ spec.eigenvectors.T
+        M = (M + M.T) / 2.0
+        singles = [(Y[:, j] - xbar) @ M @ (Y[:, j] - xbar) for j in range(7)]
         assert np.allclose(batch, singles, atol=1e-12)
 
 
 class TestMuTilde:
-    def test_zero_shrinker(self):
-        assert mu_tilde(np.zeros(5), np.ones(5)) == 0.0
+    """The centering mu = p^{-1} sum_i f(lam_i) d(lam_i) of Standardizer."""
 
     def test_reciprocal_cancellation(self, identity_fit):
         _, _, curve = identity_fit
-        assert mu_tilde(1.0 / curve.d_tilde, curve.d_tilde) == pytest.approx(
+        assert Standardizer(1.0 / curve.d_tilde, curve).mu == pytest.approx(
             1.0, abs=1e-14
         )
 
-    def test_length_mismatch(self):
+    def test_length_mismatch(self, identity_fit):
+        _, _, curve = identity_fit
         with pytest.raises(DimensionError):
-            mu_tilde(np.ones(3), np.ones(4))
+            Standardizer(np.ones(199), curve)
 
     def test_tracks_true_mean_functional(self, identity_fit):
         # colored oracle: m_n = p^{-1} sum f(lam_i) u_i' Sigma u_i with the
         # true Sigma = I for this fixture
-        _, spec, curve = identity_fit
+        X, _, curve = identity_fit
         f = hotelling_shrinker(curve.lam).values
         m_true = np.mean(f)  # u'Iu = 1
-        gap = abs(mu_tilde(f, curve.d_tilde) - m_true)
-        assert gap <= spec.n ** (-1.0 / 6.0)
+        gap = abs(Standardizer(f, curve).mu - m_true)
+        assert gap <= X.shape[1] ** (-1.0 / 6.0)
 
 
 class TestGammaTilde:
@@ -139,7 +140,7 @@ class TestSigmaTilde2:
 
     def test_within_15_percent_of_trace_oracle(self, identity_fit):
         _, spec, curve = identity_fit
-        shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
+        shrink = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
         oracle = np.trace(fS @ fS) / spec.p  # Sigma = I
         got = sigma_tilde2_batch(shrink.values[None, :], curve)[0]
@@ -160,14 +161,14 @@ class TestStandardize:
     def test_zero_score_at_centering(self, identity_fit):
         _, _, curve = identity_fit
         f = np.ones(200)
-        mu = mu_tilde(f, curve.d_tilde)
+        mu = np.mean(f * curve.d_tilde)
         assert Standardizer(f, curve)(mu * 200) == 0.0
 
     def test_affine_arithmetic(self, identity_fit):
         _, _, curve = identity_fit
         f = np.ones(200)
         score = Standardizer(f, curve)
-        assert score.mu == mu_tilde(f, curve.d_tilde)
+        assert score.mu == np.mean(f * curve.d_tilde)
         assert score.sigma == standardization_scale(f, curve)
         # invariant: z reconstructs exactly from the stored fields
         assert score(42.0) == (42.0 - score.mu * 200) / (
@@ -187,9 +188,9 @@ class TestStandardize:
         shift = rng.standard_normal(p)
 
         def score(Xd, yd):
-            spec = eigh(sample_covariance(Xd), n)
+            spec = eigh(sample_covariance(Xd))
             curve = lw_curve(spec.eigenvalues, p, n)
-            f, _ = proposed_shrinker(curve, PriorSpec("identity"))
+            f = proposed_shrinker(curve, PriorSpec("identity"))
             t2 = srht_many(yd[:, None], Xd.mean(axis=1), spec, f.values)[0]
             return Standardizer(f.values, curve)(t2)
 
@@ -232,9 +233,9 @@ class TestSeparationSurrogate:
         shifts, crits = [], []
         for _ in range(trials):
             X = rng.standard_normal((p, n))
-            spec = eigh(sample_covariance(X), n)
+            spec = eigh(sample_covariance(X))
             curve = lw_curve(spec.eigenvalues, p, n)
-            f, _ = proposed_shrinker(curve, PriorSpec("identity"))
+            f = proposed_shrinker(curve, PriorSpec("identity"))
             u = criterion_batch(f.values[None, :], np.ones(p), curve)[0]
             xbar = X.mean(axis=1)
             y0 = rng.standard_normal(p)

@@ -10,7 +10,7 @@ from hdshrink.evaluate import (
     render,
     roc,
     roc_corners,
-    summary_rows,
+    write_summary_csv,
 )
 
 
@@ -187,9 +187,12 @@ class TestRocCorners:
 
 
 class TestSummary:
-    def test_rows_have_levels(self):
+    def test_rows_have_levels(self, tmp_path):
         curve = roc([0.0, 1.0], [2.0, 3.0], method="x")
-        rows = summary_rows([curve])
-        assert rows[0]["method"] == "x"
-        assert rows[0]["auc"] == pytest.approx(1.0)
-        assert set(rows[0]) >= {"power_at_0.1", "power_at_0.01", "power_at_0.0001"}
+        write_summary_csv([curve], tmp_path / "summary.csv")
+        header, row = (tmp_path / "summary.csv").read_text().splitlines()
+        assert header == "method,auc,power_at_1e-1,power_at_1e-2,power_at_1e-4"
+        method, *values = row.split(",")
+        assert method == "x"
+        assert float(values[0]) == pytest.approx(1.0)
+        assert len(values) == 4

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from hdshrink.errors import DataError, DimensionError
-from hdshrink.linalg import (
-    apply_spectral,
-    eigh,
-    forward_substitute,
-    load_matrix,
-    quadratic_form,
-    sample_covariance,
-)
+from hdshrink.linalg import eigh, forward_substitute, load_matrix, sample_covariance
+
+from conftest import spectral_matrix
 
 
 class TestSampleCovariance:
@@ -55,11 +50,11 @@ class TestSampleCovariance:
 
 class TestEigh:
     def test_identity(self):
-        spec = eigh(np.eye(3), 10)
+        spec = eigh(np.eye(3))
         assert np.allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
 
     def test_diagonal_sorted_with_permutation_vectors(self):
-        spec = eigh(np.diag([3.0, 1.0, 2.0]), 10)
+        spec = eigh(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0])
         perm = np.abs(spec.eigenvectors)
         assert np.allclose(perm @ perm.T, np.eye(3), atol=1e-12)
@@ -69,14 +64,14 @@ class TestEigh:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((5, 5))
         S = (A + A.T) / 2.0
-        spec = eigh(S, 10)
+        spec = eigh(S)
         rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
         assert np.abs(rebuilt - S).max() <= 1e-8 * (1 + np.abs(S).max())
 
     def test_orthonormal(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((6, 6))
-        spec = eigh((A + A.T) / 2.0, 12)
+        spec = eigh((A + A.T) / 2.0)
         U = spec.eigenvectors
         assert np.abs(U.T @ U - np.eye(6)).max() <= 1e-10
 
@@ -84,8 +79,8 @@ class TestEigh:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((5, 5))
         S = (A + A.T) / 2.0
-        u1 = eigh(S, 10).eigenvectors
-        u2 = eigh(S.copy(), 10).eigenvectors
+        u1 = eigh(S).eigenvectors
+        u2 = eigh(S.copy()).eigenvectors
         assert np.array_equal(u1, u2)
         anchors = np.argmax(np.abs(u1), axis=0)
         assert np.all(u1[anchors, np.arange(5)] > 0)
@@ -93,45 +88,42 @@ class TestEigh:
     def test_small_asymmetry_absorbed(self):
         S = np.eye(3)
         S[0, 1] += 1e-14
-        spec = eigh(S, 5)
+        spec = eigh(S)
         assert np.allclose(spec.eigenvalues, 1.0)
 
 
 class TestApplySpectral:
+    """f(S) = U diag(c) U' rebuilt from eigh's eigenpairs."""
+
     def test_identity_curve_reproduces_matrix(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4))
         S = (A + A.T) / 2.0
-        spec = eigh(S, 8)
-        assert np.abs(apply_spectral(spec, spec.eigenvalues) - S).max() <= 1e-10
+        spec = eigh(S)
+        assert np.abs(spectral_matrix(spec, spec.eigenvalues) - S).max() <= 1e-10
 
     def test_ones_curve_gives_identity(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((4, 4))
-        spec = eigh((A + A.T) / 2.0, 8)
-        assert np.abs(apply_spectral(spec, np.ones(4)) - np.eye(4)).max() <= 1e-10
+        spec = eigh((A + A.T) / 2.0)
+        assert np.abs(spectral_matrix(spec, np.ones(4)) - np.eye(4)).max() <= 1e-10
 
     def test_reciprocal_curve_inverts(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((4, 8))
         S = sample_covariance(A) + 0.5 * np.eye(4)
-        spec = eigh(S, 8)
-        inv = apply_spectral(spec, 1.0 / spec.eigenvalues)
+        spec = eigh(S)
+        inv = spectral_matrix(spec, 1.0 / spec.eigenvalues)
         assert np.abs(inv - np.linalg.inv(S)).max() <= 1e-8
-
-    def test_curve_length_checked(self):
-        spec = eigh(np.eye(3), 5)
-        with pytest.raises(DimensionError):
-            apply_spectral(spec, np.ones(4))
 
     def test_roundtrip_recovers_curve(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             A = rng.standard_normal((5, 5))
-            spec = eigh((A + A.T) / 2.0, 10)
+            spec = eigh((A + A.T) / 2.0)
             c = rng.uniform(0.1, 3.0, 5)
-            M = apply_spectral(spec, c)
-            back = eigh(M, 10).eigenvalues
+            M = spectral_matrix(spec, c)
+            back = eigh(M).eigenvalues
             assert np.abs(back - np.sort(c)).max() <= 1e-8
 
 
@@ -152,31 +144,13 @@ class TestForwardSubstitute:
 
 
 class TestQuadraticForm:
-    def test_identity(self):
-        assert quadratic_form(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-    def test_zero_vector(self):
-        assert quadratic_form(np.eye(3), np.zeros(3)) == 0.0
-
-    def test_matches_double_sum(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((4, 4))
-        M = (A + A.T) / 2.0
-        v = rng.standard_normal(4)
-        expected = sum(M[i, j] * v[i] * v[j] for i in range(4) for j in range(4))
-        assert quadratic_form(M, v) == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            quadratic_form(np.eye(3), np.ones(2))
-
     def test_nonnegative_on_sample_covariances(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             X = rng.standard_normal((5, 8))
             S = sample_covariance(X)
             v = rng.standard_normal(5)
-            assert quadratic_form(S, v) >= -1e-12
+            assert v @ S @ v >= -1e-12
 
 
 class TestCsvIO:

@@ -6,16 +6,25 @@ from hdshrink.errors import DomainError, RegimeError
 from hdshrink.linalg import sample_covariance
 from hdshrink.mpkernel import (
     delta_curve,
-    density_estimate,
     eps_den,
-    hilbert_estimate,
     identity_mp_oracle,
+    kernel_matrix,
     lw_curve,
     pv_hilbert,
     semicircle_kernel,
 )
 
 PHI = 0.2
+
+
+def density_at(lam, n, x):
+    """Kernel density estimate at x: column means of kernel_matrix."""
+    return kernel_matrix(lam, n, x)[0].mean(axis=0)
+
+
+def hilbert_at(lam, n, x):
+    """Kernel estimate of the density's Hilbert transform at x."""
+    return kernel_matrix(lam, n, x)[1].mean(axis=0)
 
 
 class TestSemicircleKernel:
@@ -45,57 +54,56 @@ class TestSemicircleKernel:
 
 class TestDensityEstimate:
     def test_single_eigenvalue_peak(self):
-        assert density_estimate([1.0], 1000, 1.0) == pytest.approx(
+        assert density_at([1.0], 1000, 1.0)[0] == pytest.approx(
             10.0 / np.pi, rel=1e-12
         )
 
     def test_zero_outside_kernel_support(self):
         lam = np.array([1.0, 2.0])
         delta = 1000 ** (-1 / 3)
-        assert density_estimate(lam, 1000, 2.0 * (1 + 3 * delta)) == 0.0
-        assert density_estimate(lam, 1000, 1.0 * (1 - 3 * delta)) == 0.0
+        assert density_at(lam, 1000, 2.0 * (1 + 3 * delta))[0] == 0.0
+        assert density_at(lam, 1000, 1.0 * (1 - 3 * delta))[0] == 0.0
 
     def test_integrates_to_one(self, identity_fit):
-        _, spec, _ = identity_fit
-        lam, n = spec.eigenvalues, spec.n
+        X, spec, _ = identity_fit
+        lam, n = spec.eigenvalues, X.shape[1]
         delta = n ** (-1 / 3)
         step = delta * lam.min() / 20
         grid = np.arange(lam.min() * (1 - 2 * delta), lam.max() * (1 + 2 * delta), step)
-        w = density_estimate(lam, n, grid)
+        w = density_at(lam, n, grid)
         total = np.sum(0.5 * (w[1:] + w[:-1]) * step)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(DomainError):
-            density_estimate([1.0, -0.5], 100, 1.0)
+            kernel_matrix([1.0, -0.5], 100, 1.0)
 
 
 class TestHilbertEstimate:
     def test_zero_at_center(self):
-        assert hilbert_estimate([1.0], 1000, 1.0) == 0.0
+        assert hilbert_at([1.0], 1000, 1.0)[0] == 0.0
 
     def test_single_eigenvalue_tail(self):
         delta = 1000 ** (-1 / 3)
         _, K3 = semicircle_kernel(3.0)
-        assert hilbert_estimate([1.0], 1000, 1.0 + 3 * delta) == pytest.approx(
+        assert hilbert_at([1.0], 1000, 1.0 + 3 * delta)[0] == pytest.approx(
             10.0 * K3, rel=1e-12
         )
 
     def test_matches_pv_quadrature_of_density(self, identity_fit):
-        _, spec, _ = identity_fit
-        lam, n = spec.eigenvalues, spec.n
+        X, spec, _ = identity_fit
+        lam, n = spec.eigenvalues, X.shape[1]
         delta = n ** (-1 / 3)
         step = delta * lam.min() / 20
         lo = lam.min() * (1 - 2 * delta) - 0.05
         hi = lam.max() * (1 + 2 * delta) + 0.05
         grid = np.arange(lo, hi, step)
-        w = density_estimate(lam, n, grid)
+        w = density_at(lam, n, grid)
         margin = 4 * delta * lam.mean()
         interior = grid[(grid > lam.min() + margin) & (grid < lam.max() - margin)]
-        errs = [
-            abs(pv_hilbert(w, grid, x) - hilbert_estimate(lam, n, x))
-            for x in interior[::40]
-        ]
+        xs = interior[::40]
+        hw = hilbert_at(lam, n, xs)
+        errs = [abs(pv_hilbert(w, grid, x) - h) for x, h in zip(xs, hw)]
         assert max(errs) <= 1e-2
 
 
@@ -124,14 +132,17 @@ class TestLwCurve:
     @pytest.mark.parametrize("p,n", [(200, 300), (800, 1200)])
     def test_one_evaluation_matches_three(self, p, n):
         # Reference: the density and Hilbert estimates from two kernel
-        # evaluations and the Hilbert matrix from a third; lw_curve's single
-        # evaluation must give the same bits.
+        # evaluations, each a mean over the bumps in [point, bump] layout,
+        # and the Hilbert matrix from a third; lw_curve's single evaluation
+        # must give the same bits.
         rng = np.random.default_rng(p)
         scales = np.geomspace(1.0, 100.0, p)[:, None]
         X = scales * rng.standard_normal((p, n))
         lam = np.linalg.eigvalsh(sample_covariance(X))
-        w = density_estimate(lam, n, lam)
-        hw = hilbert_estimate(lam, n, lam)
+        bump = n ** (-1.0 / 3.0) * lam[None, :]
+        k_pt, K_pt = semicircle_kernel((lam[:, None] - lam[None, :]) / bump)
+        w = (k_pt / bump).mean(axis=1)
+        hw = (K_pt / bump).mean(axis=1)
         phi = p / n
         den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (phi * np.pi * lam * w) ** 2
         d = lam / np.maximum(den, eps_den(lam))
@@ -158,14 +169,6 @@ class TestLwCurve:
         base = lw_curve(lam, 20, 150)
         scaled = lw_curve(c * lam, 20, 150)
         assert np.allclose(scaled.d_tilde, c * base.d_tilde, rtol=1e-12)
-
-    def test_csv_serialization(self, tmp_path):
-        curve = lw_curve(np.array([0.5, 1.0, 2.0]), 3, 50)
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,w_tilde,hw_tilde,d_tilde"
-        assert len(lines) == 4
 
 
 class TestPvHilbert:
@@ -262,8 +265,8 @@ class TestDeltaCurve:
         assert delta_curve(oracle, x) == pytest.approx(expected, rel=1e-12)
 
     def test_monte_carlo_consistency_with_lw_curve(self, identity_fit):
-        _, spec, curve = identity_fit
-        oracle = identity_mp_oracle(spec.p / spec.n)
+        X, _, curve = identity_fit
+        oracle = identity_mp_oracle(X.shape[0] / X.shape[1])
         i = int(np.argmin(np.abs(curve.lam - 1.0)))
         assert abs(curve.d_tilde[i] - delta_curve(oracle, curve.lam[i])) <= 0.05
 

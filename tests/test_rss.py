@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from hdshrink.errors import ConfigError, DataError, DomainError, ParseError
-from hdshrink.rss import (
-    RssExperimentConfig,
-    RssSchema,
-    RssSeries,
-    detrend,
-    load_rss,
-    rss_experiment,
-    save_rss,
-)
+from hdshrink.rss import RssExperimentConfig, RssSeries, detrend, load_rss, rss_experiment
 from hdshrink.scoring import parse_config
 from hdshrink.shrinkers import PriorSpec
 from hdshrink.simulate import substream
+
+from conftest import write_rss_csv
 
 
 def tiny_series(T=80, p=6, seed=0, shift=2.0):
@@ -33,27 +27,27 @@ class TestLoadSave:
         series = tiny_series(T=3, p=2)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        save_rss(series, first)
-        save_rss(load_rss(first, RssSchema(channel_count=2)), second)
+        write_rss_csv(series, first)
+        write_rss_csv(load_rss(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_missing_channel_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t,label,ch_0001\n1.0,0,0.5\n")
-        with pytest.raises(ParseError, match="ch_0002"):
-            load_rss(path, RssSchema(channel_count=2))
+        path.write_text("t,label,ch_0002\n1.0,0,0.5\n")
+        with pytest.raises(ParseError, match="ch_0001"):
+            load_rss(path)
 
     def test_ragged_row_line_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,label,ch_0001\n1.0,0,0.5\n2.0,0\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_rss(path, RssSchema(channel_count=1))
+            load_rss(path)
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "label.csv"
         path.write_text("t,label,ch_0001\n1.0,maybe,0.5\n")
         with pytest.raises(ParseError, match="unknown label"):
-            load_rss(path, RssSchema(channel_count=1))
+            load_rss(path)
 
     @pytest.mark.parametrize(
         "row, match",
@@ -68,13 +62,13 @@ class TestLoadSave:
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"t,label,ch_0001\n1.0,0,0.5\n{row}\n")
         with pytest.raises(ParseError, match=f"line 3: .*{match}"):
-            load_rss(path, RssSchema(channel_count=1))
+            load_rss(path)
 
     def test_non_monotone_timestamps(self, tmp_path):
         path = tmp_path / "time.csv"
         path.write_text("t,label,ch_0001\n2.0,0,0.5\n1.0,0,0.5\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_rss(path, RssSchema(channel_count=1))
+            load_rss(path)
 
 
 class TestDetrend:
@@ -136,7 +130,7 @@ class TestRssExperiment:
     def test_reference_and_test_disjoint(self):
         # reproduce the index draw and check the split directly
         series = tiny_series(T=100, p=4)
-        inactive = series.inactive_indices()
+        inactive = np.flatnonzero(~series.activity)
         rng = substream(9, "rss", 0)
         ref = np.sort(rng.choice(inactive, size=30, replace=False))
         test = np.setdiff1d(np.arange(100), ref)

@@ -15,13 +15,13 @@ from hdshrink.errors import (
     NumericError,
     RegimeError,
 )
-from hdshrink.linalg import apply_spectral, eigh, sample_covariance
+from hdshrink.linalg import eigh, sample_covariance
 from hdshrink.mpkernel import identity_mp_oracle, lw_curve
 from hdshrink.shrinkers import (
     PRIOR_MODES,
     PriorSpec,
+    TYLER_TOL,
     fstar_curve,
-    fstar_oracle,
     hbar_values,
     hotelling_shrinker,
     identity_shrinker,
@@ -33,6 +33,8 @@ from hdshrink.shrinkers import (
     tyler_estimator,
 )
 from hdshrink.simulate import _draw, _spd_root, make_covariance, substream
+
+from conftest import spectral_matrix
 
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
 
@@ -66,7 +68,7 @@ class TestHbarValues:
 class TestProposedShrinker:
     def test_close_to_limit_on_identity_data(self, identity_fit):
         _, _, curve = identity_fit
-        shrink, _ = proposed_shrinker(curve, PriorSpec("identity"))
+        shrink = proposed_shrinker(curve, PriorSpec("identity"))
         oracle = identity_mp_oracle(0.2)
         a, b = oracle.support
         lam = curve.lam
@@ -76,13 +78,13 @@ class TestProposedShrinker:
 
     def test_zero_hbar_gives_zero_curve(self, identity_fit):
         _, _, curve = identity_fit
-        shrink, _ = proposed_shrinker(curve, PriorSpec("identity"), hbar=np.zeros(200))
+        shrink = proposed_shrinker(curve, PriorSpec("identity"), hbar=np.zeros(200))
         assert np.all(shrink.values == 0.0)
 
     def test_homogeneous_in_hbar(self, identity_fit):
         _, _, curve = identity_fit
-        one, _ = proposed_shrinker(curve, PriorSpec("identity", scale=1.0))
-        two, _ = proposed_shrinker(curve, PriorSpec("identity", scale=2.0))
+        one = proposed_shrinker(curve, PriorSpec("identity", scale=1.0))
+        two = proposed_shrinker(curve, PriorSpec("identity", scale=2.0))
         assert np.allclose(two.values, 2.0 * one.values, rtol=1e-12)
 
     def test_scaling_equivariance_inverse_square(self):
@@ -92,25 +94,28 @@ class TestProposedShrinker:
         rng = np.random.default_rng(0)
         lam = np.sort(rng.uniform(0.5, 2.0, 50))
         c = 2.5
-        base, _ = proposed_shrinker(lw_curve(lam, 50, 400), PriorSpec("identity"))
-        scaled, _ = proposed_shrinker(lw_curve(c * lam, 50, 400), PriorSpec("identity"))
+        base = proposed_shrinker(lw_curve(lam, 50, 400), PriorSpec("identity"))
+        scaled = proposed_shrinker(lw_curve(c * lam, 50, 400), PriorSpec("identity"))
         assert np.allclose(scaled.values, base.values / c**2, rtol=1e-10, atol=1e-12)
 
     def test_nonnegative_and_bounded(self, identity_fit):
         _, _, curve = identity_fit
         for mode in ("identity", "covariance_matched"):
-            shrink, _ = proposed_shrinker(curve, PriorSpec(mode))
+            shrink = proposed_shrinker(curve, PriorSpec(mode))
             assert np.all(shrink.values >= 0.0)
             assert shrink.values.max() <= 10.0 * (1.0 / curve.d_tilde).max()
 
-    def test_intermediates_exposed(self, identity_fit):
+    def test_values_match_docstring_formulas(self, identity_fit):
         _, _, curve = identity_fit
-        _, inter = proposed_shrinker(curve, PriorSpec("identity"))
-        phi = curve.phi_n
-        assert np.allclose(
-            inter.g_n, 1 - phi - phi * np.pi * curve.lam * curve.hw_tilde
-        )
-        assert np.allclose(inter.Gbar_n, -phi * np.pi * curve.lam)
+        shrink = proposed_shrinker(curve, PriorSpec("identity"))
+        phi, lam, p, K = curve.phi_n, curve.lam, curve.p, curve.hilbert_matrix
+        hbar = np.ones(p)
+        H = hbar @ K / p
+        g = 1 - phi - phi * np.pi * lam * curve.hw_tilde
+        Gbar = -phi * np.pi * lam
+        xi = (g**2 * hbar + g * Gbar * H) / (curve.d_tilde * lam)
+        eta = (Gbar**2 * H + Gbar * g * hbar) / (curve.d_tilde * lam)
+        assert np.allclose(shrink.values, np.maximum(xi - eta @ K / p, 0.0))
 
     def test_requires_p_below_n(self):
         lam = np.linspace(0.5, 1.5, 20)
@@ -124,21 +129,21 @@ class TestFstarOracle:
     def test_zero_prior_weight_gives_zero(self):
         oracle = identity_mp_oracle(0.2)
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        assert fstar_oracle(oracle, zero, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert fstar_curve(oracle, zero, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_regression_value(self):
         # Quadrature value at the default grid; the identity model's exact
         # limit at x=1 is 1, approached as the grid refines.
         oracle = identity_mp_oracle(0.2)
-        assert fstar_oracle(oracle, ONES, 1.0) == pytest.approx(
+        assert fstar_curve(oracle, ONES, [1.0])[0] == pytest.approx(
             1.0000025433394535, abs=1e-9
         )
-        assert fstar_oracle(oracle, ONES, 1.0) == pytest.approx(1.0, abs=0.02)
+        assert fstar_curve(oracle, ONES, [1.0])[0] == pytest.approx(1.0, abs=0.02)
 
     def test_rejects_x_outside_support(self):
         oracle = identity_mp_oracle(0.2)
         with pytest.raises(DomainError):
-            fstar_oracle(oracle, ONES, 5.0)
+            fstar_curve(oracle, ONES, [5.0])
 
 
 class TestLwComparator:
@@ -172,9 +177,9 @@ class TestRidgeShrinker:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((4, 12))
         S = sample_covariance(X)
-        spec = eigh(S, 12)
+        spec = eigh(S)
         b = 0.7
-        shrunk = apply_spectral(spec, ridge_shrinker(spec.eigenvalues, b).values)
+        shrunk = spectral_matrix(spec, ridge_shrinker(spec.eigenvalues, b).values)
         direct = np.linalg.inv(S + b * np.eye(4))
         assert np.abs(shrunk - direct).max() <= 1e-8
 
@@ -195,7 +200,7 @@ def _ridge_fit(p, n, kappa, dist, seed):
     """Shrinkage curve of one reference sample drawn from make_covariance."""
     root = _spd_root(make_covariance(p, kappa, seed))
     X = _draw(substream(seed, "ridge-fit"), root, dist, n)
-    return lw_curve(eigh(sample_covariance(X), n).eigenvalues, p, n)
+    return lw_curve(eigh(sample_covariance(X)).eigenvalues, p, n)
 
 
 def _lappw_direct_reference(curve, prior, grid_points=10_000):
@@ -380,8 +385,8 @@ class TestTylerEstimator:
     def test_fixed_point_residual_below_tol(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((5, 60))
-        tol = 1e-8
-        T = tyler_estimator(X, rho=0.2, tol=tol)
+        tol = TYLER_TOL
+        T = tyler_estimator(X, rho=0.2)
         p, n = X.shape
         Xc = X - X.mean(axis=1, keepdims=True)
         q = np.einsum("ij,ij->j", Xc, np.linalg.solve(T, Xc))
@@ -400,7 +405,7 @@ class TestTylerEstimator:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((4, 20))
         with pytest.raises(ConvergenceError) as err:
-            tyler_estimator(X, rho=0.1, tol=1e-14, max_iter=2)
+            tyler_estimator(X, rho=0.1, max_iter=2)
         assert err.value.residual is not None
 
     def test_rho_validated(self):
@@ -438,13 +443,13 @@ class TestSimpleShrinkers:
     def test_identity_apply_spectral_exact(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((4, 4))
-        spec = eigh((A + A.T) / 2.0, 8)
-        assert np.abs(apply_spectral(spec, identity_shrinker(4).values) - np.eye(4)).max() <= 1e-12
+        spec = eigh((A + A.T) / 2.0)
+        assert np.abs(spectral_matrix(spec, identity_shrinker(4).values) - np.eye(4)).max() <= 1e-12
 
     def test_identity_srht_is_squared_distance(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((4, 10))
-        spec = eigh(sample_covariance(X), 10)
+        spec = eigh(sample_covariance(X))
         y = rng.standard_normal(4)
         xbar = X.mean(axis=1)
         t2 = srht_many(y[:, None], xbar, spec, identity_shrinker(4).values)[0]
@@ -457,15 +462,15 @@ class TestSimpleShrinkers:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((4, 20))
         S = sample_covariance(X)
-        spec = eigh(S, 20)
-        inv = apply_spectral(spec, hotelling_shrinker(spec.eigenvalues).values)
+        spec = eigh(S)
+        inv = spectral_matrix(spec, hotelling_shrinker(spec.eigenvalues).values)
         assert np.abs(inv - np.linalg.inv(S)).max() <= 1e-8
 
     def test_hotelling_matches_bruteforce_statistic(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((5, 200))
         S = sample_covariance(X)
-        spec = eigh(S, 200)
+        spec = eigh(S)
         y = rng.standard_normal(5)
         xbar = X.mean(axis=1)
         f = hotelling_shrinker(spec.eigenvalues).values
