@@ -6,6 +6,8 @@ is calibrated so the known-covariance detector sits mid-ROC, where the
 methods separate most.
 """
 
+import dataclasses
+
 import numpy as np
 
 from hdshrink import ExperimentConfig, auc, make_covariance, roc, run_trials
@@ -21,14 +23,13 @@ cfg = ExperimentConfig(
     tests_per_trial_h1=40,
     component_dist="uniform",
     seed=123,
-    lappw_grid_points=4000,
 )
 
 sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
 gamma = calibrate_gamma(cfg, sigma)
 print(f"calibrated signal scale gamma = {gamma:.3f}")
 
-outputs = run_trials(cfg, Sigma=sigma, threads=4)
+outputs = run_trials(dataclasses.replace(cfg, gamma=gamma), Sigma=sigma, threads=4)
 for method in cfg.methods:
     h0 = np.concatenate([o.scores[method]["h0_z"] for o in outputs])
     h1 = np.concatenate([o.scores[method]["h1_z"] for o in outputs])

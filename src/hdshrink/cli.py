@@ -180,6 +180,8 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"points must be at least 1, got {args.points}")
     oracle = identity_mp_oracle(args.phi)
     a, b = oracle.support
     margin = 1e-3 * (b - a)

@@ -149,8 +149,6 @@ class RssExperimentConfig:
     seed: int = 0
     methods: tuple = ("proposed", "lw", "tyler", "cq", "hotelling", "identity")
     prior: PriorSpec = field(default_factory=lambda: PriorSpec("covariance_matched"))
-    tyler_rho: float = 0.1
-    lappw_grid_points: int = 10_000
 
     def __post_init__(self):
         if self.resamples < 1:

@@ -54,20 +54,16 @@ def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
 
 
 def check_methods(cfg) -> None:
-    """Reject an empty method list, an unknown method, a tyler_rho outside
-    [0, 1) or a lappw grid of fewer than 2 points (ConfigError), so a bad
-    config fails at parse time instead of in every fit."""
+    """Reject an empty method list, an unknown method or a reference sample
+    n below 2, which no method can fit (ConfigError), so a bad config fails
+    at parse time instead of in every fit."""
     if not cfg.methods:
         raise ConfigError("methods must name at least one method")
     unknown = set(cfg.methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
-    if not 0.0 <= cfg.tyler_rho < 1.0:
-        raise ConfigError(f"tyler_rho must lie in [0, 1), got {cfg.tyler_rho}")
-    if cfg.lappw_grid_points < 2:
-        raise ConfigError(
-            f"lappw_grid_points must be at least 2, got {cfg.lappw_grid_points}"
-        )
+    if cfg.n < 2:
+        raise ConfigError(f"n must be at least 2, got {cfg.n}")
 
 
 def check_regime(methods, p, n) -> None:
@@ -95,8 +91,8 @@ def parse_config(cls, text: str):
     Every field of cls is a key, read by its annotation: a tuple is a
     comma-separated list, an optional number reads auto/none as None, and a
     dataclass field (the prior) is set through one dotted key per field of
-    its own (prior.mode, prior.scale), starting from the class's own
-    default.  `#` starts a comment.
+    its own (prior.mode), starting from the class's own default.  `#`
+    starts a comment.
     """
     hints = typing.get_type_hints(cls)
     kinds, nested = {}, {}
@@ -143,8 +139,8 @@ class _SpectralScorer:
 
 
 class _TylerScorer:
-    def __init__(self, fit: FittedReference, rho: float):
-        scatter = shrinkers.tyler_estimator(fit.X, rho=rho)
+    def __init__(self, fit: FittedReference):
+        scatter = shrinkers.tyler_estimator(fit.X)
         self.precision = np.linalg.inv(scatter)
         self.xbar = fit.xbar
 
@@ -174,7 +170,7 @@ class _CrossProductScorer:
         return raw.copy(), raw
 
 
-def spectral_curve(method, fit, prior, lappw_grid_points=10_000):
+def spectral_curve(method, fit, prior):
     """The ShrinkageCurve of one of SPECTRAL_METHODS on a fitted reference."""
     curve = fit.curve
     if method == "proposed":
@@ -182,20 +178,20 @@ def spectral_curve(method, fit, prior, lappw_grid_points=10_000):
     if method == "lw":
         return shrinkers.lw_comparator(curve)
     if method == "lappw":
-        b = shrinkers.lappw_select_b(curve, prior, lappw_grid_points)
+        b = shrinkers.lappw_select_b(curve, prior)
         return shrinkers.ridge_shrinker(curve.lam, b, label="lappw")
     if method == "hotelling":
         return shrinkers.hotelling_shrinker(curve.lam)
     return shrinkers.identity_shrinker(curve.p)
 
 
-def build_scorer(method, fit, prior, tyler_rho=0.1, lappw_grid_points=10_000):
+def build_scorer(method, fit, prior):
     """Construct a callable Y -> (z_scores, raw_scores) for one method."""
     if method in SPECTRAL_METHODS:
-        curve = spectral_curve(method, fit, prior, lappw_grid_points)
+        curve = spectral_curve(method, fit, prior)
         return _SpectralScorer(fit, curve.values)
     if method == "tyler":
-        return _TylerScorer(fit, tyler_rho)
+        return _TylerScorer(fit)
     if method == "cq":
         return _CrossProductScorer(fit)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -216,17 +212,15 @@ class Failure(NamedTuple):
 
 def fit_and_score(cfg, X, blocks, trial: int):
     """Fit the reference sample X, then score each block of test columns
-    with each of cfg.methods (cfg also gives prior, tyler_rho and
-    lappw_grid_points).  Returns (scores, failures): per method, one
-    (z, raw) pair per block, or the Failure of a method that raised.
+    with each of cfg.methods under cfg.prior.  Returns (scores, failures):
+    per method, one (z, raw) pair per block, or the Failure of a method that
+    raised.
     """
     fit = fit_reference(X, need_curve=any(m in SPECTRAL_METHODS for m in cfg.methods))
     scores, failures = {}, {}
     for method in cfg.methods:
         try:
-            scorer = build_scorer(
-                method, fit, cfg.prior, cfg.tyler_rho, cfg.lappw_grid_points
-            )
+            scorer = build_scorer(method, fit, cfg.prior)
             scores[method] = [scorer(Y) for Y in blocks]
         except Exception as exc:  # recorded; the other methods continue
             logger.warning("trial %d: method %s failed: %s", trial, method, exc)

@@ -67,16 +67,11 @@ class PriorSpec:
     """Mean-shift dispersion prior: identity or matched to the covariance."""
 
     mode: str = "identity"
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in PRIOR_MODES:
             raise ConfigError(
                 f"prior mode must be one of {PRIOR_MODES}, got {self.mode!r}"
-            )
-        if not 0.0 < self.scale < np.inf:
-            raise ConfigError(
-                f"prior scale must be positive and finite, got {self.scale}"
             )
 
 
@@ -84,8 +79,8 @@ def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     """Prior weight at each eigenvalue: ones for identity, the shrinkage
     curve itself when the prior matches the covariance."""
     if prior.mode == "identity":
-        return prior.scale * np.ones(curve.p)
-    return prior.scale * np.asarray(curve.d_tilde, dtype=float)
+        return np.ones(curve.p)
+    return np.asarray(curve.d_tilde, dtype=float)
 
 
 def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageCurve:

@@ -54,8 +54,6 @@ class ExperimentConfig:
     component_dist: str = "uniform"
     seed: int = 0
     methods: tuple = METHODS
-    lappw_grid_points: int = 10_000
-    tyler_rho: float = 0.1
 
     def __post_init__(self):
         for name in ("trials", "tests_per_trial_h0", "tests_per_trial_h1"):
@@ -96,8 +94,8 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
     """
     if p < 42:
         raise ConfigError(
-            f"eigenvalue recipe needs p >= 42 (got p={p}); pass an explicit "
-            "eigenvalue list instead"
+            f"eigenvalue recipe needs p >= 42 (got p={p}); library callers "
+            "can pass their own Sigma= to run_trials"
         )
     if kappa < 1.0:
         raise ConfigError(f"condition number must be >= 1, got {kappa}")

@@ -233,7 +233,6 @@ def test_criterion_7_roc_ordering():
             tests_per_trial_h1=50,
             component_dist="uniform",
             seed=7,
-            lappw_grid_points=10_000,
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         outputs = run_trials(cfg, Sigma=sigma, threads=8)
@@ -368,7 +367,6 @@ def test_criterion_10_simulation_determinism():
         tests_per_trial_h0=10,
         tests_per_trial_h1=10,
         seed=10,
-        lappw_grid_points=500,
     )
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
     ref = scores_csv_lines(run_trials(cfg, Sigma=sigma, threads=1))

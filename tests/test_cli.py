@@ -31,7 +31,6 @@ tests_per_trial_h1 = 6
 component_dist = uniform
 seed = 5
 methods = proposed, identity, cq
-lappw_grid_points = 200
 """
 
 # Large enough that OpenBLAS splits its products over threads.
@@ -47,12 +46,8 @@ component_dist = uniform
 seed = 7
 """
 
-# (method, key, value) out of range for that method's fit.
-BAD_METHOD_OPTIONS = [
-    ("tyler", "tyler_rho", "1.5"),
-    ("tyler", "tyler_rho", "-0.1"),
-    ("lappw", "lappw_grid_points", "1"),
-]
+# Keys that are no longer settable, each with its last default value.
+REMOVED_KEYS = {"prior.scale": "1", "tyler_rho": "0.1", "lappw_grid_points": "10000"}
 
 
 # (key, value) that must fail at parse time, not in the run.
@@ -61,8 +56,6 @@ BAD_NUMBERS = [
     ("gamma", "inf"),
     ("kappa", "nan"),
     ("kappa", "inf"),
-    ("prior.scale", "nan"),
-    ("prior.scale", "inf"),
     ("tests_per_trial_h0", "0"),
     ("tests_per_trial_h1", "0"),
 ]
@@ -214,18 +207,31 @@ class TestSimulateCommand:
         assert f"config error: {key.replace('.', ' ')} must be" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
-    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_2(self, tmp_path, key, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + f"{key} = {REMOVED_KEYS[key]}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        line = len(TINY_CONFIG.splitlines()) + 1
+        assert f"config error: config line {line}: unknown key {key!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_n_below_2_exits_2(self, tmp_path, n, capsys):
+        # cq alone: no spectral method, so the p < n check does not apply.
         bad = tmp_path / "bad.cfg"
         bad.write_text(
-            TINY_CONFIG.replace("proposed, identity, cq", method).replace(
-                "lappw_grid_points = 200", f"{key} = {value}"
+            TINY_CONFIG.replace("n = 70", f"n = {n}").replace(
+                "proposed, identity, cq", "cq"
             )
         )
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
-        assert f"config error: {key} must" in capsys.readouterr().err
-        assert not (out / "scores.csv").exists()
+        assert f"config error: n must be at least 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_method_failures_reported(self, tmp_path, config_path, monkeypatch, capsys):
         _fail_method(monkeypatch, "cq")
@@ -342,15 +348,24 @@ class TestRssCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
-    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_2(self, tmp_path, key, capsys):
         data, cfg = _rss_inputs(
-            tmp_path, f"n = 30\nresamples = 1\nmethods = {method}\n{key} = {value}\n"
+            tmp_path, f"n = 30\nresamples = 1\n{key} = {REMOVED_KEYS[key]}\n"
         )
         out = tmp_path / "o"
         assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"config error: {key} must" in capsys.readouterr().err
-        assert not (out / "scores.csv").exists()
+        err = capsys.readouterr().err
+        assert f"config error: config line 3: unknown key {key!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_n_below_2_exits_2(self, tmp_path, n, capsys):
+        data, cfg = _rss_inputs(tmp_path, f"n = {n}\nresamples = 2\nmethods = cq\n")
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: n must be at least 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectral_method_with_n_at_most_channels_exits_2(self, tmp_path, capsys):
         # 60 channels, n = 50: fitting would fail on a singular covariance.
@@ -512,6 +527,14 @@ class TestOracleCommand:
         assert np.allclose(body[:, 3], 1.0)  # delta == 1 on support
         interior = body[(body[:, 0] > 0.5) & (body[:, 0] < 1.9)]
         assert np.abs(interior[:, 4] - 1.0).max() <= 0.05  # fstar near 1
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_1_exits_2(self, tmp_path, points, capsys):
+        out = tmp_path / "o"
+        assert main(["oracle", "--phi", "0.2", "--points", points, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: points must be at least 1, got {points}" in err
+        assert not out.exists()
 
     def test_bad_phi_exits_3(self, tmp_path):
         assert main(["oracle", "--phi", "1.5", "--out", str(tmp_path / "o")]) == 3

@@ -175,7 +175,6 @@ class TestRssConfig:
         text = (
             "n = 120\nresamples = 4\ndetrend = moving_average\nwindow = 9\n"
             "seed = 2\nmethods = identity, cq\nprior.mode = identity\n"
-            "prior.scale = 3\ntyler_rho = 0.2\nlappw_grid_points = 50\n"
         )
         keys = {line.split(" = ")[0].split(".")[0] for line in text.splitlines()}
         assert keys == {f.name for f in dataclasses.fields(RssExperimentConfig)}
@@ -186,9 +185,7 @@ class TestRssConfig:
             window=9,
             seed=2,
             methods=("identity", "cq"),
-            prior=PriorSpec("identity", 3.0),
-            tyler_rho=0.2,
-            lappw_grid_points=50,
+            prior=PriorSpec("identity"),
         )
 
     @pytest.mark.parametrize("value", ["auto", "none"])

@@ -83,8 +83,9 @@ class TestProposedShrinker:
 
     def test_homogeneous_in_hbar(self, identity_fit):
         _, _, curve = identity_fit
-        one = proposed_shrinker(curve, PriorSpec("identity", scale=1.0))
-        two = proposed_shrinker(curve, PriorSpec("identity", scale=2.0))
+        ones = np.ones(curve.p)
+        one = proposed_shrinker(curve, PriorSpec("identity"), hbar=ones)
+        two = proposed_shrinker(curve, PriorSpec("identity"), hbar=2.0 * ones)
         assert np.allclose(two.values, 2.0 * one.values, rtol=1e-12)
 
     def test_scaling_equivariance_inverse_square(self):

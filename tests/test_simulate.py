@@ -1,14 +1,16 @@
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hdshrink.mpkernel
 import hdshrink.scoring
+import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
-from hdshrink.errors import ConfigError, DataError
+from hdshrink.errors import ConfigError, DataError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
 from hdshrink.scoring import parse_config
@@ -38,7 +40,6 @@ SMALL = ExperimentConfig(
     component_dist="uniform",
     seed=11,
     methods=("proposed", "identity"),
-    lappw_grid_points=500,
 )
 
 
@@ -64,7 +65,7 @@ class TestMakeCovariance:
         assert np.abs(got - expected).max() <= 1e-8
 
     def test_small_p_rejected_with_hint(self):
-        with pytest.raises(ConfigError, match="explicit eigenvalue list"):
+        with pytest.raises(ConfigError, match="needs p >= 42 .* Sigma= to run_trials"):
             make_covariance(41, 10.0, seed=0)
 
     def test_blas_pinned_and_restored(self, monkeypatch):
@@ -138,7 +139,7 @@ class TestRunTrials:
     def test_one_kernel_matrix_per_fit(self, monkeypatch):
         cfg = ExperimentConfig(
             p=44, n=70, kappa=10.0, gamma=2.0, trials=1, tests_per_trial_h0=4,
-            tests_per_trial_h1=4, seed=3, lappw_grid_points=50,
+            tests_per_trial_h1=4, seed=3,
         )
         real = hdshrink.mpkernel.kernel_matrix
         calls = []
@@ -184,7 +185,7 @@ class TestRunTrials:
         rng_h0 = substream(cfg.seed, "trial", 0, "test_h0")
         D = _draw(rng_h0, root, cfg.component_dist, 8)
         D -= X.mean(axis=1)[:, None]
-        P = np.linalg.inv(tyler_estimator(X, rho=cfg.tyler_rho))
+        P = np.linalg.inv(tyler_estimator(X))
         expected = np.array([d @ P @ d for d in D.T])
         assert np.allclose(out.scores["tyler"]["h0_raw"], expected, rtol=1e-12, atol=0.0)
 
@@ -255,7 +256,11 @@ class TestRunTrials:
         rss_experiment(series, rss_cfg)
         assert sizes == [2, 2, 2, SMALL.trials, 5, SMALL.trials, 5]
 
-    def test_method_failures_recorded_per_trial(self):
+    def test_method_failures_recorded_per_trial(self, monkeypatch):
+        def singular(X):
+            raise RegimeError("forced tyler failure")
+
+        monkeypatch.setattr(hdshrink.shrinkers, "tyler_estimator", singular)
         cfg = ExperimentConfig(
             p=30,
             n=10,
@@ -266,7 +271,6 @@ class TestRunTrials:
             tests_per_trial_h1=2,
             seed=13,
             methods=("tyler", "cq"),
-            tyler_rho=0.0,  # singular iterate: p > n with no ridge
         )
         out = run_trials(cfg, Sigma=np.eye(30))[0]
         assert "tyler" in out.errors
@@ -282,7 +286,6 @@ class TestRunTrials:
             tests_per_trial_h0=10,
             tests_per_trial_h1=10,
             seed=14,
-            lappw_grid_points=500,
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         outputs = run_trials(cfg, Sigma=sigma)
@@ -395,10 +398,9 @@ class TestConfigFile:
     def test_every_key_parses(self):
         text = (
             "p = 60\nn = 100\nkappa = 50\ngamma = 2.5\n"
-            "prior.mode = covariance_matched\nprior.scale = 2\ntrials = 4\n"
+            "prior.mode = covariance_matched\ntrials = 4\n"
             "tests_per_trial_h0 = 7\ntests_per_trial_h1 = 9\n"
             "component_dist = gaussian\nseed = 13\nmethods = lw, cq\n"
-            "lappw_grid_points = 300\ntyler_rho = 0.25\n"
         )
         keys = {line.split(" = ")[0].split(".")[0] for line in text.splitlines()}
         assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -407,16 +409,34 @@ class TestConfigFile:
             n=100,
             kappa=50.0,
             gamma=2.5,
-            prior=PriorSpec("covariance_matched", 2.0),
+            prior=PriorSpec("covariance_matched"),
             trials=4,
             tests_per_trial_h0=7,
             tests_per_trial_h1=9,
             component_dist="gaussian",
             seed=13,
             methods=("lw", "cq"),
-            lappw_grid_points=300,
-            tyler_rho=0.25,
         )
+
+    def test_readme_block_names_every_key(self):
+        # README's "simulate config, with every key" block parses and
+        # names every field, so the documented keys follow the dataclass.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The simulate config, with every key:")[1]
+        block = block.split("```")[1]
+        parse_config(ExperimentConfig, block)
+        named = {
+            line.split("#")[0].split("=")[0].strip()
+            for line in block.splitlines()
+            if "=" in line.split("#")[0]
+        }
+        fields = set()
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name == "prior":
+                fields |= {f"prior.{g.name}" for g in dataclasses.fields(PriorSpec)}
+            else:
+                fields.add(f.name)
+        assert named == fields
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
