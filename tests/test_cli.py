@@ -49,6 +49,13 @@ seed = 7
 # Keys that are no longer settable, each with its last default value.
 REMOVED_KEYS = {"prior.scale": "1", "tyler_rho": "0.1", "lappw_grid_points": "10000"}
 
+# (method, key, value) once out of range for that method's fit; the key is
+# gone, so any value of it is now a config error.
+BAD_METHOD_OPTIONS = [
+    ("tyler", "tyler_rho", "1.5"),
+    ("tyler", "tyler_rho", "-0.1"),
+]
+
 
 # (key, value) that must fail at parse time, not in the run.
 BAD_NUMBERS = [
@@ -56,6 +63,8 @@ BAD_NUMBERS = [
     ("gamma", "inf"),
     ("kappa", "nan"),
     ("kappa", "inf"),
+    ("prior.scale", "nan"),
+    ("prior.scale", "inf"),
     ("tests_per_trial_h0", "0"),
     ("tests_per_trial_h1", "0"),
 ]
@@ -204,7 +213,25 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {key.replace('.', ' ')} must be" in err
+        if key in REMOVED_KEYS:
+            line = len(TINY_CONFIG.splitlines()) + 1
+            assert f"config error: config line {line}: unknown key {key!r}" in err
+        else:
+            assert f"config error: {key.replace('.', ' ')} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
+    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            TINY_CONFIG.replace("proposed, identity, cq", method) + f"{key} = {value}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        line = len(TINY_CONFIG.splitlines()) + 1
+        assert f"config error: config line {line}: unknown key {key!r}" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -347,6 +374,17 @@ class TestRssCommand:
             ["rss", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("method,key,value", BAD_METHOD_OPTIONS)
+    def test_bad_method_option_exits_2(self, tmp_path, method, key, value, capsys):
+        data, cfg = _rss_inputs(
+            tmp_path, f"n = 30\nresamples = 1\nmethods = {method}\n{key} = {value}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config line 4: unknown key {key!r}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_exits_2(self, tmp_path, key, capsys):
