@@ -36,7 +36,8 @@ cfg = RssExperimentConfig(
     seed=7,
     methods=("proposed", "lw", "tyler", "cq", "hotelling", "identity"),
 )
-rows, curves = rss_experiment(series, cfg)
-print(f"scored {sum(1 for r in rows if 'error' not in r)} (method, instant) pairs")
+scores, curves = rss_experiment(series, cfg)
+pairs = sum(block.score_z.size for block in scores.blocks)
+print(f"scored {pairs} (method, instant) pairs, {len(scores.failures)} failed fits")
 for curve in curves:
     print(f"{curve.method:>10}: AUC = {auc(curve):.4f}")

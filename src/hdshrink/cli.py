@@ -74,11 +74,11 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     threads = worker_count(args.threads, cfg.trials)
-    os.makedirs(args.out, exist_ok=True)
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
     gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, sigma)
     resolved = dataclasses.replace(cfg, gamma=gamma)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
+    os.makedirs(args.out, exist_ok=True)  # after the fits: no directory on a bad config
     write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     with open(args.config, "r", encoding="utf-8") as src:
         with open(os.path.join(args.out, "config_echo"), "w", encoding="utf-8") as dst:
@@ -98,8 +98,8 @@ def _cmd_rss(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     threads = worker_count(args.threads, cfg.resamples)
     series = load_rss(args.data)
-    rows, curves = rss_experiment(series, cfg, threads=threads)
-    failures = [r["error"] for r in rows if "error" in r]
+    scores, curves = rss_experiment(series, cfg, threads=threads)
+    failures = scores.failures
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, cfg.seed, threads)
     _report_failures("rss", failures, args.out)
@@ -110,7 +110,7 @@ def _cmd_rss(args) -> int:
             "every method failed: "
             + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
         )
-    write_rss_scores_csv(rows, os.path.join(args.out, "scores.csv"))
+    write_rss_scores_csv(scores, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)
     print(f"rss: wrote {args.out}/scores.csv and {args.out}/roc.csv")
     return 0

@@ -17,7 +17,15 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
 from .evaluate import roc
-from .scoring import check_methods, check_regime, fit_and_score, map_indices
+from .scoring import (
+    Failure,
+    ScoreBlock,
+    check_methods,
+    check_regime,
+    fit_and_score,
+    map_indices,
+    write_score_blocks,
+)
 from .shrinkers import PriorSpec
 from .simulate import substream
 
@@ -167,6 +175,35 @@ class RssExperimentConfig:
         check_methods(self)
 
 
+@dataclass(frozen=True)
+class RssScores:
+    """rss_experiment's scores: per fit, in (resample, method) order, a
+    scoring.ScoreBlock or the scoring.Failure of a method that raised."""
+
+    fits: list
+
+    @property
+    def blocks(self) -> list:
+        return [f for f in self.fits if isinstance(f, ScoreBlock)]
+
+    @property
+    def failures(self) -> list:
+        return [f for f in self.fits if isinstance(f, Failure)]
+
+    def __iter__(self):
+        """Record view: a dict per scored row, {trial, method, error} per
+        failed fit.  Only bench/run.py's run_rss reads it; a benchmark change
+        that moves run_rss to failures and the blocks can delete it."""
+        for f in self.fits:
+            if isinstance(f, Failure):
+                yield {"trial": f.trial, "method": f.method, "error": f}
+                continue
+            cols = f.label_h1.tolist(), f.score_z.tolist(), f.score_raw.tolist()
+            for lab, z, raw in zip(*cols):
+                row = (f.trial, f.method, int(lab), z, raw)
+                yield dict(zip(ScoreBlock._fields, row))
+
+
 def rss_experiment(
     series: RssSeries, cfg: RssExperimentConfig, threads: int | None = None
 ):
@@ -176,10 +213,10 @@ def rss_experiment(
     reference sample, fits every method on those columns only, and scores
     all remaining instants, tagged with ground-truth activity.  Resamples
     run through scoring.map_indices (threads=None: one worker per core).
-    Returns (rows, curves): scores.csv-style records, where a method that
-    failed on a resample leaves one row whose "error" is its
-    scoring.Failure, and one pooled ROC per method.  A spectral method with
-    n at most the channel count is a RegimeError before any fit.
+    Returns (scores, curves): an RssScores with one ScoreBlock or Failure
+    per (resample, method), and one pooled ROC per method.  A spectral
+    method with n at most the channel count is a RegimeError before any
+    fit.
     """
     check_regime(cfg.methods, series.p, cfg.n)
     work = detrend(series, cfg.detrend, cfg.window)
@@ -200,43 +237,27 @@ def rss_experiment(
         )
         return work.activity[test], scores, failures
 
-    rows = []
+    fits = []
     pooled = {m: ([], []) for m in cfg.methods}
     for r, (labels, scores, failures) in enumerate(
         map_indices(resample, cfg.resamples, threads)
     ):
         for method in cfg.methods:
             if method in failures:
-                rows.append({"trial": r, "method": method, "error": failures[method]})
+                fits.append(failures[method])
                 continue
             ((z, raw),) = scores[method]
+            fits.append(ScoreBlock(r, method, labels, z, raw))
             pooled[method][0].append(z[~labels])
             pooled[method][1].append(z[labels])
-            for zi, ri, lab in zip(z.tolist(), raw.tolist(), labels):
-                rows.append(
-                    {
-                        "trial": r,
-                        "method": method,
-                        "label_h1": int(lab),
-                        "score_z": zi,
-                        "score_raw": ri,
-                    }
-                )
     curves = [
         roc(np.concatenate(h0), np.concatenate(h1), method=m)
         for m, (h0, h1) in pooled.items()
         if sum(a.size for a in h0) and sum(a.size for a in h1)
     ]
-    return rows, curves
+    return RssScores(fits), curves
 
 
-def write_rss_scores_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,method,label_h1,score_z,score_raw\n")
-        for row in rows:
-            if "error" in row:
-                continue
-            fh.write(
-                f"{row['trial']},{row['method']},{row['label_h1']},"
-                f"{row['score_z']:.17g},{row['score_raw']:.17g}\n"
-            )
+def write_rss_scores_csv(scores: RssScores, path) -> None:
+    """scores.csv of an rss run; failed fits have no rows (see errors.csv)."""
+    write_score_blocks(scores.blocks, path)

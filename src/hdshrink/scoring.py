@@ -228,6 +228,36 @@ def fit_and_score(cfg, X, blocks, trial: int):
     return scores, failures
 
 
+class ScoreBlock(NamedTuple):
+    """One fit's scores.csv rows, one per test vector (label_h1 is bool);
+    the fields are the columns of scores.csv."""
+
+    trial: int
+    method: str
+    label_h1: np.ndarray
+    score_z: np.ndarray
+    score_raw: np.ndarray
+
+
+SCORES_HEADER = ",".join(ScoreBlock._fields) + "\n"
+
+
+def scores_csv_text(block: ScoreBlock) -> str:
+    """One block's scores.csv lines, scores as %.17g, in one % per block."""
+    prefix = [f"{block.trial},{block.method},{label}," for label in (0, 1)]
+    cells = [None] * (3 * block.score_z.size)
+    cells[0::3] = [prefix[b] for b in block.label_h1.tolist()]
+    cells[1::3], cells[2::3] = block.score_z.tolist(), block.score_raw.tolist()
+    return ("%s%.17g,%.17g\n" * block.score_z.size) % tuple(cells)
+
+
+def write_score_blocks(blocks, path) -> None:
+    """scores.csv: the header, then each block's lines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(SCORES_HEADER)
+        fh.writelines(map(scores_csv_text, blocks))
+
+
 def worker_count(threads: int | None, count: int) -> int:
     """min(threads, cores, count), at least 1; threads=None means cores and
     threads below 1 is a ConfigError."""

@@ -18,11 +18,15 @@ from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
 from .scoring import (
     METHODS,
+    SCORES_HEADER,
+    ScoreBlock,
     check_methods,
     check_regime,
     fit_and_score,
     map_indices,
     parse_config,
+    scores_csv_text,
+    write_score_blocks,
 )
 from .shrinkers import PriorSpec
 
@@ -228,22 +232,24 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
     return map_indices(task, cfg.trials, threads)
 
 
-def scores_csv_lines(outputs) -> list:
-    """Flatten trial outputs into scores.csv lines (with header)."""
-    lines = ["trial,method,label_h1,score_z,score_raw"]
+def _score_blocks(outputs):
+    """Per trial and method, the ScoreBlock of the H0 then the H1 tests."""
     for out in outputs:
         for method, sc in out.scores.items():
-            for label, zkey, rkey in (("0", "h0_z", "h0_raw"), ("1", "h1_z", "h1_raw")):
-                for z, raw in zip(sc[zkey], sc[rkey]):
-                    lines.append(
-                        f"{out.trial_index},{method},{label},{z:.17g},{raw:.17g}"
-                    )
-    return lines
+            for h in (0, 1):
+                z, raw = sc[f"h{h}_z"], sc[f"h{h}_raw"]
+                labels = np.full(z.size, h == 1)
+                yield ScoreBlock(out.trial_index, method, labels, z, raw)
+
+
+def scores_csv_lines(outputs) -> list:
+    """Flatten trial outputs into scores.csv lines (with header)."""
+    text = "".join(map(scores_csv_text, _score_blocks(outputs)))
+    return (SCORES_HEADER + text).splitlines()
 
 
 def write_scores_csv(outputs, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(scores_csv_lines(outputs)) + "\n")
+    write_score_blocks(_score_blocks(outputs), path)
 
 
 def load_config(path) -> ExperimentConfig:

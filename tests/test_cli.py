@@ -260,6 +260,20 @@ class TestSimulateCommand:
         assert f"config error: n must be at least 2, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_covariance_recipe_error_leaves_no_output_dir(self, tmp_path, capsys):
+        # p = 30 parses (cq has no p < n check) but the covariance recipe
+        # needs p >= 42; the run must fail before it makes --out.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            TINY_CONFIG.replace("p = 44", "p = 30").replace(
+                "proposed, identity, cq", "cq"
+            )
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert "eigenvalue recipe needs p >= 42" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_failures_reported(self, tmp_path, config_path, monkeypatch, capsys):
         _fail_method(monkeypatch, "cq")
         out = tmp_path / "run"

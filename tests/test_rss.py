@@ -1,10 +1,26 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hdshrink.errors import ConfigError, DataError, DomainError, ParseError
-from hdshrink.rss import RssExperimentConfig, RssSeries, detrend, load_rss, rss_experiment
+import hdshrink.rss
+import hdshrink.scoring
+from hdshrink.errors import (
+    ConfigError,
+    DataError,
+    DegenerateStatisticError,
+    DomainError,
+    ParseError,
+)
+from hdshrink.rss import (
+    RssExperimentConfig,
+    RssSeries,
+    detrend,
+    load_rss,
+    rss_experiment,
+    write_rss_scores_csv,
+)
 from hdshrink.scoring import parse_config
 from hdshrink.shrinkers import PriorSpec
 from hdshrink.simulate import substream
@@ -114,18 +130,22 @@ class TestRssExperiment:
         cfg = RssExperimentConfig(
             n=40, resamples=1, seed=3, methods=("identity",)
         )
-        rows, curves = rss_experiment(series, cfg)
-        h0 = [r["score_z"] for r in rows if "error" not in r and r["label_h1"] == 0]
-        h1 = [r["score_z"] for r in rows if "error" not in r and r["label_h1"] == 1]
+        scores, curves = rss_experiment(series, cfg)
+        (block,) = scores.blocks
+        h0, h1 = block.score_z[~block.label_h1], block.score_z[block.label_h1]
         assert np.mean(h1) > np.mean(h0)
         assert curves[0].method == "identity"
 
     def test_deterministic(self):
         series = tiny_series(T=100, p=4)
         cfg = RssExperimentConfig(n=30, resamples=3, seed=4, methods=("identity", "cq"))
-        rows1, _ = rss_experiment(series, cfg)
-        rows2, _ = rss_experiment(series, cfg)
-        assert rows1 == rows2
+        scores1, _ = rss_experiment(series, cfg)
+        scores2, _ = rss_experiment(series, cfg)
+        assert len(scores1.fits) == len(scores2.fits) == 6
+        for a, b in zip(scores1.fits, scores2.fits):
+            assert (a.trial, a.method) == (b.trial, b.method)
+            for col in ("label_h1", "score_z", "score_raw"):
+                assert np.array_equal(getattr(a, col), getattr(b, col))
 
     def test_reference_and_test_disjoint(self):
         # reproduce the index draw and check the split directly
@@ -146,8 +166,8 @@ class TestRssExperiment:
     def test_nonspectral_methods_allow_n_below_p(self):
         series = tiny_series(T=60, p=8)
         cfg = RssExperimentConfig(n=5, resamples=1, seed=7, methods=("cq",))
-        rows, curves = rss_experiment(series, cfg)
-        assert all("error" not in r for r in rows)
+        scores, curves = rss_experiment(series, cfg)
+        assert scores.failures == [] and len(scores.blocks) == 1
         assert curves and curves[0].method == "cq"
 
     def test_no_label_leak_into_fitting(self):
@@ -155,19 +175,132 @@ class TestRssExperiment:
         # channel_mean baseline) must leave every other score bit-identical.
         series = tiny_series(T=100, p=4)
         cfg = RssExperimentConfig(n=30, resamples=1, seed=6, methods=("identity",))
-        rows1, _ = rss_experiment(series, cfg)
+        scores1, _ = rss_experiment(series, cfg)
         active = np.flatnonzero(series.activity)
         corrupted = series.channels.copy()
         corrupted[active[0]] += 100.0
         series2 = RssSeries(series.timestamps, corrupted, series.activity)
-        rows2, _ = rss_experiment(series2, cfg)
-        assert len(rows1) == len(rows2)
-        changed = [
-            i
-            for i, (a, b) in enumerate(zip(rows1, rows2))
-            if a["score_raw"] != b["score_raw"]
+        scores2, _ = rss_experiment(series2, cfg)
+        ((block1,), (block2,)) = scores1.blocks, scores2.blocks
+        assert block1.score_raw.size == block2.score_raw.size
+        assert np.count_nonzero(block1.score_raw != block2.score_raw) == 1
+
+
+def _fail_second_cq_fit(monkeypatch):
+    """Make build_scorer raise on the second cq fit only (resample 1 when
+    the resamples run inline)."""
+    real, calls = hdshrink.scoring.build_scorer, []
+
+    def build_scorer(method, *args, **kwargs):
+        if method == "cq":
+            calls.append(method)
+            if len(calls) == 2:
+                raise DegenerateStatisticError("forced cq failure")
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(hdshrink.scoring, "build_scorer", build_scorer)
+
+
+def _record_resamples(monkeypatch):
+    """Keep rss_experiment's per-resample (labels, scores, failures)."""
+    real, seen = hdshrink.rss.map_indices, []
+
+    def map_indices(*args):
+        seen.extend(real(*args))
+        return seen
+
+    monkeypatch.setattr(hdshrink.rss, "map_indices", map_indices)
+    return seen
+
+
+def _reference_records(resamples, methods):
+    """The record list rss_experiment returned while its scores were one
+    dict per row."""
+    rows = []
+    for r, (labels, scores, failures) in enumerate(resamples):
+        for method in methods:
+            if method in failures:
+                rows.append({"trial": r, "method": method, "error": failures[method]})
+                continue
+            ((z, raw),) = scores[method]
+            for zi, ri, lab in zip(z.tolist(), raw.tolist(), labels):
+                rows.append(
+                    {
+                        "trial": r,
+                        "method": method,
+                        "label_h1": int(lab),
+                        "score_z": zi,
+                        "score_raw": ri,
+                    }
+                )
+    return rows
+
+
+def _reference_write(rows, path):
+    """The per-row scores.csv writer of the record list."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("trial,method,label_h1,score_z,score_raw\n")
+        for row in rows:
+            if "error" in row:
+                continue
+            fh.write(
+                f"{row['trial']},{row['method']},{row['label_h1']},"
+                f"{row['score_z']:.17g},{row['score_raw']:.17g}\n"
+            )
+
+
+class TestColumnarScores:
+    METHODS = ("identity", "cq", "proposed")
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        _fail_second_cq_fit(monkeypatch)
+        resamples = _record_resamples(monkeypatch)
+        cfg = RssExperimentConfig(n=30, resamples=3, seed=8, methods=self.METHODS)
+        scores, _ = rss_experiment(tiny_series(T=100, p=4), cfg, threads=1)
+        return scores, _reference_records(resamples, self.METHODS)
+
+    def test_fits_in_resample_method_order(self, run):
+        scores, _ = run
+        assert [(f.trial, f.method) for f in scores.fits] == [
+            (r, m) for r in range(3) for m in self.METHODS
         ]
-        assert len(changed) == 1
+        assert [(f.trial, f.method) for f in scores.failures] == [(1, "cq")]
+        assert str(scores.failures[0]) == "DegenerateStatisticError: forced cq failure"
+
+    def test_record_view_equals_reference_records(self, run):
+        scores, reference = run
+        assert any("error" in row for row in reference)
+        assert list(scores) == reference
+        assert list(scores) == reference  # the view can be read twice
+
+    def test_scores_csv_bytes_equal_reference_writer(self, run, tmp_path):
+        scores, reference = run
+        write_rss_scores_csv(scores, tmp_path / "columns.csv")
+        _reference_write(reference, tmp_path / "rows.csv")
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "columns.csv").read_bytes() == expected
+        assert expected.count(b"\n") == 1 + sum("error" not in r for r in reference)
+
+    def test_memory_per_scored_row(self):
+        # 3 methods x 4 resamples x 2900 test instants = 34 800 scored rows;
+        # one dict per row took about 265 B per row retained, 305 B at peak.
+        series = tiny_series(T=3000, p=20)
+        cfg = RssExperimentConfig(n=100, resamples=4, seed=2, methods=self.METHODS)
+        # A first small run does the lazy imports, which are not per row.
+        warm = dataclasses.replace(cfg, n=30)
+        rss_experiment(tiny_series(T=100, p=4), warm, threads=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scores, curves = rss_experiment(series, cfg, threads=1)  # both held
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 3 * 4 * (3000 - 100)
+        assert (current - base) / rows <= 80
+        assert (peak - base) / rows <= 150
+        assert sum(block.score_z.size for block in scores.blocks) == rows
 
 
 class TestRssConfig:

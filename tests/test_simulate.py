@@ -13,7 +13,7 @@ from hdshrink.cli import main
 from hdshrink.errors import ConfigError, DataError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
-from hdshrink.scoring import parse_config
+from hdshrink.scoring import METHODS, parse_config
 from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
@@ -27,6 +27,7 @@ from hdshrink.simulate import (
     run_trials,
     scores_csv_lines,
     substream,
+    write_scores_csv,
 )
 
 SMALL = ExperimentConfig(
@@ -298,6 +299,31 @@ class TestRunTrials:
     def test_spectral_methods_require_p_below_n(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(p=100, n=80, methods=("proposed",))
+
+
+def _reference_scores_lines(outputs):
+    """scores.csv lines (with header) as formatted one row at a time."""
+    lines = ["trial,method,label_h1,score_z,score_raw"]
+    for out in outputs:
+        for method, sc in out.scores.items():
+            for label, zkey, rkey in (("0", "h0_z", "h0_raw"), ("1", "h1_z", "h1_raw")):
+                for z, raw in zip(sc[zkey], sc[rkey]):
+                    lines.append(
+                        f"{out.trial_index},{method},{label},{z:.17g},{raw:.17g}"
+                    )
+    return lines
+
+
+def test_scores_csv_matches_per_row_formatting(tmp_path):
+    sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
+    outputs = run_trials(dataclasses.replace(SMALL, methods=METHODS), Sigma=sigma)
+    reference = _reference_scores_lines(outputs)
+    assert len(reference) == 1 + SMALL.trials * len(METHODS) * 16
+    assert scores_csv_lines(outputs) == reference
+    write_scores_csv(outputs, tmp_path / "scores.csv")
+    assert (tmp_path / "scores.csv").read_bytes() == "".join(
+        line + "\n" for line in reference
+    ).encode()
 
 
 def _direct_pilot_scores(cfg, sigma, gamma, pilots=20):
