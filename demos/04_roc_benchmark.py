@@ -8,9 +8,8 @@ methods separate most.
 
 import dataclasses
 
-import numpy as np
-
-from hdshrink import ExperimentConfig, auc, make_covariance, roc, run_trials
+from hdshrink import ExperimentConfig, auc, make_covariance, run_trials
+from hdshrink.evaluate import pooled_rocs
 from hdshrink.simulate import calibrate_gamma
 
 cfg = ExperimentConfig(
@@ -30,7 +29,6 @@ gamma = calibrate_gamma(cfg, sigma)
 print(f"calibrated signal scale gamma = {gamma:.3f}")
 
 outputs = run_trials(dataclasses.replace(cfg, gamma=gamma), Sigma=sigma, threads=4)
-for method in cfg.methods:
-    h0 = np.concatenate([o.scores[method]["h0_z"] for o in outputs])
-    h1 = np.concatenate([o.scores[method]["h1_z"] for o in outputs])
-    print(f"{method:>10}: AUC = {auc(roc(h0, h1)):.4f}")
+fits = [f for o in outputs for f in o.fits]
+for curve in pooled_rocs(fits, cfg.methods):
+    print(f"{curve.method:>10}: AUC = {auc(curve):.4f}")

@@ -25,6 +25,7 @@ from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
 from .scoring import (
     METHODS,
+    Failure,
     check_regime,
     fit_reference,
     spectral_curve,
@@ -57,14 +58,21 @@ def _write_manifest(out, seed, threads, *extra) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _report_failures(command, failures, out) -> None:
+def _report_failures(command, fits, out) -> None:
     """Write errors.csv and print per-method failure counts, one entry per
-    failed fit."""
+    failed fit of fits; a NumericError when no fit scored."""
+    failures = [f for f in fits if isinstance(f, Failure)]
     write_errors_csv(failures, os.path.join(out, "errors.csv"))
     counts = collections.Counter(f.method for f in failures)
     if counts:
         detail = ", ".join(f"{m}={k}" for m, k in counts.items())
         print(f"{command}: {sum(counts.values())} method failures: {detail}")
+    if len(failures) == len(fits):
+        first = {f.method: f for f in reversed(failures)}
+        raise NumericError(
+            "every method failed: "
+            + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
+        )
 
 
 def _cmd_simulate(args) -> int:
@@ -79,13 +87,12 @@ def _cmd_simulate(args) -> int:
     resolved = dataclasses.replace(cfg, gamma=gamma)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     os.makedirs(args.out, exist_ok=True)  # after the fits: no directory on a bad config
-    write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     with open(args.config, "r", encoding="utf-8") as src:
         with open(os.path.join(args.out, "config_echo"), "w", encoding="utf-8") as dst:
             dst.write(src.read())
     _write_manifest(args.out, cfg.seed, threads, ("gamma", f"{gamma:.17g}"))
-    failures = [f for o in outputs for f in o.errors.values()]
-    _report_failures("simulate", failures, args.out)
+    _report_failures("simulate", [f for o in outputs for f in o.fits], args.out)
+    write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     print(f"simulate: wrote {args.out}/scores.csv")
     return 0
 
@@ -99,17 +106,9 @@ def _cmd_rss(args) -> int:
     threads = worker_count(args.threads, cfg.resamples)
     series = load_rss(args.data)
     scores, curves = rss_experiment(series, cfg, threads=threads)
-    failures = scores.failures
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, cfg.seed, threads)
-    _report_failures("rss", failures, args.out)
-    if failures and not curves:
-        counts = collections.Counter(f.method for f in failures)
-        first = {f.method: f for f in reversed(failures)}
-        raise NumericError(
-            "every method failed: "
-            + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
-        )
+    _report_failures("rss", scores.fits, args.out)
     write_rss_scores_csv(scores, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)
     print(f"rss: wrote {args.out}/scores.csv and {args.out}/roc.csv")

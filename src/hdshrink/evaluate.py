@@ -44,6 +44,20 @@ def roc(h0_scores, h1_scores, method: str = "") -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, method=method)
 
 
+def pooled_rocs(blocks, methods) -> list:
+    """One ROC per method, of its ScoreBlocks' score_z pooled over fits (label_h1
+    False rows as H0, True as H1); a method lacking either kind has none."""
+    pooled = {m: ([], []) for m in methods}
+    for b in blocks:
+        pooled[b.method][0].append(b.score_z[~b.label_h1])
+        pooled[b.method][1].append(b.score_z[b.label_h1])
+    return [
+        roc(np.concatenate(h0), np.concatenate(h1), method=m)
+        for m, (h0, h1) in pooled.items()
+        if sum(map(np.size, h0)) and sum(map(np.size, h1))
+    ]
+
+
 def auc(curve: RocCurve) -> float:
     """Trapezoid area under the ROC; equals the pairwise exceedance
     statistic P(s1 > s0) + 0.5 P(s1 = s0) of the generating scores."""

@@ -41,6 +41,13 @@ def eps_den(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _shrinkage_limit(x, phi, w, hw):
+    """x / ([1 - phi - pi phi x hw]^2 + (pi phi x w)^2), floored at eps_den(x)."""
+    scale = np.pi * phi * x
+    den = (1.0 - phi - scale * hw) ** 2 + (scale * w) ** 2
+    return x / np.maximum(den, eps_den(x))
+
+
 def _check_spectrum(lam) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.ndim != 1:
@@ -103,15 +110,11 @@ def lw_curve(lam, p, n) -> LwCurve:
     # over axis 0 adds in another order and moves the last bits of d.
     w = np.ascontiguousarray(dmat.T).mean(axis=1)
     hw = np.ascontiguousarray(hmat.T).mean(axis=1)
-    den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (
-        phi * np.pi * lam * w
-    ) ** 2
-    d = lam / np.maximum(den, eps_den(lam))
     return LwCurve(
         lam=lam,
         w_tilde=w,
         hw_tilde=hw,
-        d_tilde=d,
+        d_tilde=_shrinkage_limit(lam, phi, w, hw),
         hilbert_matrix=hmat,
         phi_n=phi,
         n=int(n),
@@ -268,9 +271,7 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
     def delta(x):
         x = np.asarray(x, dtype=float)
         inside = (x >= a) & (x <= b)
-        den = (1.0 - phi - np.pi * phi * x * Hw(x)) ** 2
-        outside_val = x / np.maximum(den, eps_den(x))
-        out = np.where(inside, 1.0, outside_val)
+        out = np.where(inside, 1.0, _shrinkage_limit(x, phi, 0.0, Hw(x)))
         return float(out) if out.ndim == 0 else out
 
     return DensityOracle(
@@ -294,9 +295,5 @@ def delta_curve(oracle: DensityOracle, x) -> float:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("delta_curve requires x > 0")
-    phi = oracle.phi
-    den = (1.0 - phi - np.pi * phi * x * oracle.Hw(x)) ** 2 + (
-        np.pi * phi * x * oracle.w(x)
-    ) ** 2
-    out = x / np.maximum(den, eps_den(x))
+    out = _shrinkage_limit(x, oracle.phi, oracle.w(x), oracle.Hw(x))
     return float(out) if out.ndim == 0 else out

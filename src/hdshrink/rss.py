@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
-from .evaluate import roc
+from .evaluate import pooled_rocs
 from .scoring import (
     Failure,
     ScoreBlock,
@@ -191,9 +191,9 @@ class RssScores:
         return [f for f in self.fits if isinstance(f, Failure)]
 
     def __iter__(self):
-        """Record view: a dict per scored row, {trial, method, error} per
-        failed fit.  Only bench/run.py's run_rss reads it; a benchmark change
-        that moves run_rss to failures and the blocks can delete it."""
+        """Read-only record view for bench/run.py's run_rss alone: a dict
+        per scored row, {trial, method, error} per failed fit.  A benchmark
+        change that moves run_rss to failures and the blocks deletes it."""
         for f in self.fits:
             if isinstance(f, Failure):
                 yield {"trial": f.trial, "method": f.method, "error": f}
@@ -232,32 +232,14 @@ def rss_experiment(
         rng = substream(cfg.seed, "rss", r)
         ref = np.sort(rng.choice(inactive, size=cfg.n, replace=False))
         test = np.setdiff1d(all_idx, ref, assume_unique=True)
-        scores, failures = fit_and_score(
-            cfg, work.channels[ref].T, (work.channels[test].T,), r
-        )
-        return work.activity[test], scores, failures
+        ref_columns, test_columns = work.channels[ref].T, work.channels[test].T
+        return fit_and_score(cfg, ref_columns, (test_columns,), work.activity[test], r)
 
-    fits = []
-    pooled = {m: ([], []) for m in cfg.methods}
-    for r, (labels, scores, failures) in enumerate(
-        map_indices(resample, cfg.resamples, threads)
-    ):
-        for method in cfg.methods:
-            if method in failures:
-                fits.append(failures[method])
-                continue
-            ((z, raw),) = scores[method]
-            fits.append(ScoreBlock(r, method, labels, z, raw))
-            pooled[method][0].append(z[~labels])
-            pooled[method][1].append(z[labels])
-    curves = [
-        roc(np.concatenate(h0), np.concatenate(h1), method=m)
-        for m, (h0, h1) in pooled.items()
-        if sum(a.size for a in h0) and sum(a.size for a in h1)
-    ]
-    return RssScores(fits), curves
+    fits = map_indices(resample, cfg.resamples, threads)
+    scores = RssScores([f for resample_fits in fits for f in resample_fits])
+    return scores, pooled_rocs(scores.blocks, cfg.methods)
 
 
 def write_rss_scores_csv(scores: RssScores, path) -> None:
     """scores.csv of an rss run; failed fits have no rows (see errors.csv)."""
-    write_score_blocks(scores.blocks, path)
+    write_score_blocks(scores.fits, path)

@@ -210,24 +210,6 @@ class Failure(NamedTuple):
         return f"{self.error_type}: {self.message}"
 
 
-def fit_and_score(cfg, X, blocks, trial: int):
-    """Fit the reference sample X, then score each block of test columns
-    with each of cfg.methods under cfg.prior.  Returns (scores, failures):
-    per method, one (z, raw) pair per block, or the Failure of a method that
-    raised.
-    """
-    fit = fit_reference(X, need_curve=any(m in SPECTRAL_METHODS for m in cfg.methods))
-    scores, failures = {}, {}
-    for method in cfg.methods:
-        try:
-            scorer = build_scorer(method, fit, cfg.prior)
-            scores[method] = [scorer(Y) for Y in blocks]
-        except Exception as exc:  # recorded; the other methods continue
-            logger.warning("trial %d: method %s failed: %s", trial, method, exc)
-            failures[method] = Failure(trial, method, type(exc).__name__, str(exc))
-    return scores, failures
-
-
 class ScoreBlock(NamedTuple):
     """One fit's scores.csv rows, one per test vector (label_h1 is bool);
     the fields are the columns of scores.csv."""
@@ -239,7 +221,23 @@ class ScoreBlock(NamedTuple):
     score_raw: np.ndarray
 
 
-SCORES_HEADER = ",".join(ScoreBlock._fields) + "\n"
+def fit_and_score(cfg, X, blocks, labels, trial: int) -> list:
+    """Fit the reference sample X, then score each block of test columns
+    with each of cfg.methods under cfg.prior; labels is the label_h1 of the
+    blocks' columns, in order.  Returns, in cfg.methods order, one
+    ScoreBlock per method, or the Failure of a method that raised.
+    """
+    fit = fit_reference(X, need_curve=any(m in SPECTRAL_METHODS for m in cfg.methods))
+    fits = []
+    for method in cfg.methods:
+        try:
+            scorer = build_scorer(method, fit, cfg.prior)
+            z, raw = map(np.concatenate, zip(*[scorer(Y) for Y in blocks]))
+            fits.append(ScoreBlock(trial, method, labels, z, raw))
+        except Exception as exc:  # recorded; the other methods continue
+            logger.warning("trial %d: method %s failed: %s", trial, method, exc)
+            fits.append(Failure(trial, method, type(exc).__name__, str(exc)))
+    return fits
 
 
 def scores_csv_text(block: ScoreBlock) -> str:
@@ -251,11 +249,12 @@ def scores_csv_text(block: ScoreBlock) -> str:
     return ("%s%.17g,%.17g\n" * block.score_z.size) % tuple(cells)
 
 
-def write_score_blocks(blocks, path) -> None:
-    """scores.csv: the header, then each block's lines."""
+def write_score_blocks(fits, path) -> None:
+    """scores.csv: the header, then the lines of each ScoreBlock of fits; a
+    Failure has none (errors.csv holds it)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SCORES_HEADER)
-        fh.writelines(map(scores_csv_text, blocks))
+        fh.write(",".join(ScoreBlock._fields) + "\n")
+        fh.writelines(scores_csv_text(f) for f in fits if isinstance(f, ScoreBlock))
 
 
 def worker_count(threads: int | None, count: int) -> int:

@@ -18,14 +18,13 @@ from .evaluate import power_at_fpr, roc
 from .linalg import single_threaded_blas
 from .scoring import (
     METHODS,
-    SCORES_HEADER,
+    Failure,
     ScoreBlock,
     check_methods,
     check_regime,
     fit_and_score,
     map_indices,
     parse_config,
-    scores_csv_text,
     write_score_blocks,
 )
 from .shrinkers import PriorSpec
@@ -78,9 +77,30 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutput:
+    """One trial's fits as scoring.fit_and_score returns them: per method, a
+    ScoreBlock of the H0 then the H1 tests, or the method's Failure."""
+
     trial_index: int
-    scores: dict  # method -> {"h0_z", "h0_raw", "h1_z", "h1_raw"}
-    errors: dict  # method -> scoring.Failure
+    fits: list
+
+    @property
+    def scores(self) -> dict:
+        """Read-only view that only bench/run.py reads: method -> {"h0_z",
+        "h0_raw", "h1_z", "h1_raw"} of each ScoreBlock."""
+        return {
+            b.method: {
+                f"h{h}_{col}": getattr(b, f"score_{col}")[b.label_h1 == h]
+                for h in (0, 1)
+                for col in ("z", "raw")
+            }
+            for b in self.fits
+            if isinstance(b, ScoreBlock)
+        }
+
+    @property
+    def errors(self) -> dict:
+        """Read-only view that only bench/run.py reads: method -> Failure."""
+        return {f.method: f for f in self.fits if isinstance(f, Failure)}
 
 
 def _haar(rng, p):
@@ -206,12 +226,8 @@ def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
     rng_sig = substream(cfg.seed, "trial", t, "signal")
     Y1 = Y1 + _signal(rng_sig, root, cfg.prior, gamma, cfg.tests_per_trial_h1)
 
-    scores, errors = fit_and_score(cfg, X, (Y0, Y1), t)
-    scores = {
-        method: {"h0_z": z0, "h0_raw": raw0, "h1_z": z1, "h1_raw": raw1}
-        for method, ((z0, raw0), (z1, raw1)) in scores.items()
-    }
-    return TrialOutput(trial_index=t, scores=scores, errors=errors)
+    labels = np.repeat([False, True], [Y0.shape[1], Y1.shape[1]])
+    return TrialOutput(t, fit_and_score(cfg, X, (Y0, Y1), labels, t))
 
 
 def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
@@ -232,24 +248,9 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
     return map_indices(task, cfg.trials, threads)
 
 
-def _score_blocks(outputs):
-    """Per trial and method, the ScoreBlock of the H0 then the H1 tests."""
-    for out in outputs:
-        for method, sc in out.scores.items():
-            for h in (0, 1):
-                z, raw = sc[f"h{h}_z"], sc[f"h{h}_raw"]
-                labels = np.full(z.size, h == 1)
-                yield ScoreBlock(out.trial_index, method, labels, z, raw)
-
-
-def scores_csv_lines(outputs) -> list:
-    """Flatten trial outputs into scores.csv lines (with header)."""
-    text = "".join(map(scores_csv_text, _score_blocks(outputs)))
-    return (SCORES_HEADER + text).splitlines()
-
-
 def write_scores_csv(outputs, path) -> None:
-    write_score_blocks(_score_blocks(outputs), path)
+    """scores.csv of the trials' fits; a failed fit has no rows."""
+    write_score_blocks((f for out in outputs for f in out.fits), path)
 
 
 def load_config(path) -> ExperimentConfig:

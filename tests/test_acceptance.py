@@ -16,7 +16,7 @@ from hdshrink.detector import (
     sigma_tilde2_batch,
     srht_many,
 )
-from hdshrink.evaluate import auc, roc
+from hdshrink.evaluate import auc, pooled_rocs, roc
 from hdshrink.linalg import eigh, sample_covariance
 from hdshrink.mpkernel import (
     identity_mp_oracle,
@@ -39,8 +39,8 @@ from hdshrink.simulate import (
     ExperimentConfig,
     make_covariance,
     run_trials,
-    scores_csv_lines,
     substream,
+    write_scores_csv,
 )
 
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
@@ -236,13 +236,9 @@ def test_criterion_7_roc_ordering():
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         outputs = run_trials(cfg, Sigma=sigma, threads=8)
-        aucs = {}
-        for m in cfg.methods:
-            h0 = np.concatenate([o.scores[m]["h0_z"] for o in outputs])
-            h1 = np.concatenate([o.scores[m]["h1_z"] for o in outputs])
-            aucs[m] = auc(roc(h0, h1))
-        results[kappa] = aucs
-    ok = True
+        curves = pooled_rocs([f for o in outputs for f in o.fits], cfg.methods)
+        results[kappa] = {c.method: auc(c) for c in curves}
+    ok = all(set(aucs) == set(cfg.methods) for aucs in results.values())  # none failed
     details = []
     for kappa, aucs in results.items():
         prop = aucs["proposed"]
@@ -356,7 +352,7 @@ def test_criterion_9_exactness_micro_suite():
             f"{len(checks)} checks, failed: {failed or 'none'}, {elapsed:.1f}s")
 
 
-def test_criterion_10_simulation_determinism():
+def test_criterion_10_simulation_determinism(tmp_path):
     start = time.time()
     cfg = ExperimentConfig(
         p=50,
@@ -369,11 +365,14 @@ def test_criterion_10_simulation_determinism():
         seed=10,
     )
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
-    ref = scores_csv_lines(run_trials(cfg, Sigma=sigma, threads=1))
-    rerun = scores_csv_lines(run_trials(cfg, Sigma=sigma, threads=1))
-    threaded = scores_csv_lines(run_trials(cfg, Sigma=sigma, threads=8))
+    runs = {}
+    for name, threads in (("ref", 1), ("rerun", 1), ("threaded", 8)):
+        path = tmp_path / f"{name}.csv"
+        write_scores_csv(run_trials(cfg, Sigma=sigma, threads=threads), path)
+        runs[name] = path.read_bytes()
     elapsed = time.time() - start
-    ok = ref == rerun and ref == threaded and elapsed < 60
+    ok = runs["ref"] == runs["rerun"] == runs["threaded"] and elapsed < 60
+    lines = runs["ref"].count(b"\n")
     _report(10, "byte-identical simulation output", ok,
-            f"{len(ref)} lines compared across reruns and 1 vs 8 threads, "
+            f"{lines} lines compared across reruns and 1 vs 8 threads, "
             f"{elapsed:.0f}s")

@@ -304,6 +304,18 @@ class TestSimulateCommand:
         assert "nan" not in scores.lower()
         assert ",proposed," not in scores
 
+    def test_every_method_failing_exits_4(self, tmp_path, monkeypatch, capsys):
+        _fail_method(monkeypatch, "cq")
+        config = tmp_path / "cq.cfg"
+        config.write_text(_tiny_config_with("methods", "cq"))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric error: every method failed: cq 2x" in err
+        assert "forced cq failure" in err
+        assert len(_errors_csv(out)) == 3
+        assert not (out / "scores.csv").exists()
+
 
 class TestRssCommand:
     def test_end_to_end(self, tmp_path):
@@ -378,6 +390,8 @@ class TestRssCommand:
         err = capsys.readouterr().err
         assert "numeric error: every method failed: cq 2x" in err
         assert "forced cq failure" in err
+        assert len(_errors_csv(out)) == 3
+        assert not (out / "scores.csv").exists()
 
     @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["missing", "even"])
     def test_bad_moving_average_window_exits_2(self, tmp_path, window):

@@ -21,7 +21,7 @@ from hdshrink.rss import (
     rss_experiment,
     write_rss_scores_csv,
 )
-from hdshrink.scoring import parse_config
+from hdshrink.scoring import Failure, parse_config
 from hdshrink.shrinkers import PriorSpec
 from hdshrink.simulate import substream
 
@@ -202,7 +202,8 @@ def _fail_second_cq_fit(monkeypatch):
 
 
 def _record_resamples(monkeypatch):
-    """Keep rss_experiment's per-resample (labels, scores, failures)."""
+    """Keep rss_experiment's per-resample fit lists, as the engine returns
+    them."""
     real, seen = hdshrink.rss.map_indices, []
 
     def map_indices(*args):
@@ -217,12 +218,14 @@ def _reference_records(resamples, methods):
     """The record list rss_experiment returned while its scores were one
     dict per row."""
     rows = []
-    for r, (labels, scores, failures) in enumerate(resamples):
+    for r, fits in enumerate(resamples):
+        by_method = {f.method: f for f in fits}
         for method in methods:
-            if method in failures:
-                rows.append({"trial": r, "method": method, "error": failures[method]})
+            fit = by_method[method]
+            if isinstance(fit, Failure):
+                rows.append({"trial": r, "method": method, "error": fit})
                 continue
-            ((z, raw),) = scores[method]
+            z, raw, labels = fit.score_z, fit.score_raw, fit.label_h1
             for zi, ri, lab in zip(z.tolist(), raw.tolist(), labels):
                 rows.append(
                     {

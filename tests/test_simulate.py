@@ -13,7 +13,7 @@ from hdshrink.cli import main
 from hdshrink.errors import ConfigError, DataError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
-from hdshrink.scoring import METHODS, parse_config
+from hdshrink.scoring import METHODS, Failure, ScoreBlock, parse_config
 from hdshrink.shrinkers import PriorSpec, tyler_estimator
 from hdshrink.simulate import (
     ExperimentConfig,
@@ -25,7 +25,6 @@ from hdshrink.simulate import (
     load_config,
     make_covariance,
     run_trials,
-    scores_csv_lines,
     substream,
     write_scores_csv,
 )
@@ -151,7 +150,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(hdshrink.mpkernel, "kernel_matrix", counting)
         out = run_trials(cfg, Sigma=make_covariance(cfg.p, cfg.kappa, cfg.seed), threads=1)[0]
-        assert out.errors == {}
+        assert all(isinstance(f, ScoreBlock) for f in out.fits)
         assert len(calls) == 1
 
     def test_identity_method_reduces_to_squared_distance(self):
@@ -174,7 +173,8 @@ class TestRunTrials:
         rng_h0 = substream(cfg.seed, "trial", 0, "test_h0")
         Y0 = _draw(rng_h0, root, cfg.component_dist, 5)
         expected = np.sum((Y0 - X.mean(axis=1)[:, None]) ** 2, axis=0)
-        assert np.allclose(out.scores["identity"]["h0_raw"], expected, rtol=1e-12)
+        (block,) = out.fits
+        assert np.allclose(block.score_raw[~block.label_h1], expected, rtol=1e-12)
 
     def test_tyler_scores_match_direct_quadratic_form(self):
         cfg = dataclasses.replace(SMALL, trials=1, methods=("tyler",))
@@ -188,18 +188,20 @@ class TestRunTrials:
         D -= X.mean(axis=1)[:, None]
         P = np.linalg.inv(tyler_estimator(X))
         expected = np.array([d @ P @ d for d in D.T])
-        assert np.allclose(out.scores["tyler"]["h0_raw"], expected, rtol=1e-12, atol=0.0)
+        (block,) = out.fits
+        h0_raw = block.score_raw[~block.label_h1]
+        assert np.allclose(h0_raw, expected, rtol=1e-12, atol=0.0)
 
-    def test_deterministic_rerun(self):
+    def test_deterministic_rerun(self, tmp_path):
         sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
-        a = scores_csv_lines(run_trials(SMALL, Sigma=sigma))
-        b = scores_csv_lines(run_trials(SMALL, Sigma=sigma))
+        a = _scores_csv_bytes(run_trials(SMALL, Sigma=sigma), tmp_path / "a.csv")
+        b = _scores_csv_bytes(run_trials(SMALL, Sigma=sigma), tmp_path / "b.csv")
         assert a == b
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, tmp_path):
         sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
-        a = scores_csv_lines(run_trials(SMALL, Sigma=sigma, threads=1))
-        b = scores_csv_lines(run_trials(SMALL, Sigma=sigma, threads=8))
+        a = _scores_csv_bytes(run_trials(SMALL, Sigma=sigma, threads=1), tmp_path / "a.csv")
+        b = _scores_csv_bytes(run_trials(SMALL, Sigma=sigma, threads=8), tmp_path / "b.csv")
         assert a == b
 
     def test_blas_pinned_in_trials_and_restored(self, monkeypatch):
@@ -274,8 +276,9 @@ class TestRunTrials:
             methods=("tyler", "cq"),
         )
         out = run_trials(cfg, Sigma=np.eye(30))[0]
-        assert "tyler" in out.errors
-        assert "cq" in out.scores
+        tyler, cq = out.fits
+        assert isinstance(tyler, Failure) and tyler.method == "tyler"
+        assert isinstance(cq, ScoreBlock) and cq.method == "cq"
 
     def test_h0_scores_finite_across_methods(self):
         cfg = ExperimentConfig(
@@ -291,25 +294,34 @@ class TestRunTrials:
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         outputs = run_trials(cfg, Sigma=sigma)
         for out in outputs:
-            assert not out.errors
-            for sc in out.scores.values():
-                for key in ("h0_z", "h0_raw", "h1_z", "h1_raw"):
-                    assert np.all(np.isfinite(sc[key]))
+            assert [f.method for f in out.fits] == list(cfg.methods)
+            for block in out.fits:
+                assert isinstance(block, ScoreBlock)
+                assert block.label_h1.tolist() == [False] * 10 + [True] * 10
+                assert np.all(np.isfinite(block.score_z))
+                assert np.all(np.isfinite(block.score_raw))
 
     def test_spectral_methods_require_p_below_n(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(p=100, n=80, methods=("proposed",))
 
 
+def _scores_csv_bytes(outputs, path):
+    write_scores_csv(outputs, path)
+    return path.read_bytes()
+
+
 def _reference_scores_lines(outputs):
-    """scores.csv lines (with header) as formatted one row at a time."""
+    """scores.csv lines (with header) as formatted one row at a time, the
+    H0 tests then the H1 tests of each method."""
     lines = ["trial,method,label_h1,score_z,score_raw"]
     for out in outputs:
-        for method, sc in out.scores.items():
-            for label, zkey, rkey in (("0", "h0_z", "h0_raw"), ("1", "h1_z", "h1_raw")):
-                for z, raw in zip(sc[zkey], sc[rkey]):
+        for block in out.fits:
+            for h in (0, 1):
+                mine = block.label_h1 == h
+                for z, raw in zip(block.score_z[mine], block.score_raw[mine]):
                     lines.append(
-                        f"{out.trial_index},{method},{label},{z:.17g},{raw:.17g}"
+                        f"{out.trial_index},{block.method},{h},{z:.17g},{raw:.17g}"
                     )
     return lines
 
@@ -319,7 +331,6 @@ def test_scores_csv_matches_per_row_formatting(tmp_path):
     outputs = run_trials(dataclasses.replace(SMALL, methods=METHODS), Sigma=sigma)
     reference = _reference_scores_lines(outputs)
     assert len(reference) == 1 + SMALL.trials * len(METHODS) * 16
-    assert scores_csv_lines(outputs) == reference
     write_scores_csv(outputs, tmp_path / "scores.csv")
     assert (tmp_path / "scores.csv").read_bytes() == "".join(
         line + "\n" for line in reference
