@@ -73,24 +73,6 @@ def sigma_tilde2_batch(F, curve: LwCurve) -> np.ndarray:
     return np.mean(g * g * curve.lam * curve.d_tilde, axis=-1)
 
 
-def sigma_tilde_unit_norms(curve: LwCurve) -> np.ndarray:
-    """sqrt(p sigma_tilde2(e_i)) for every unit vector e_i, in O(p^2) work.
-
-    p sigma_tilde2(f) = ||A f||^2 with A = diag(sqrt(lam d)) G and G the
-    linear map of gamma_tilde_all, so these are the column norms of A.
-    Entry k of G(e_i) is a_k [k = i] - (pi/n) d_i Kmat[i, k], with a the
-    diagonal factor of gamma_tilde_all; the square is expanded so that no
-    p x p array is formed.
-    """
-    d, K = curve.d_tilde, curve.hilbert_matrix
-    scale = np.pi / curve.n
-    a = 1.0 + scale * (d @ K)
-    wd = curve.lam * d
-    off = np.einsum("ik,ik,k->i", K, K, wd)
-    diag = wd * a * (a - 2.0 * scale * d * np.diagonal(K))
-    return np.sqrt(scale * scale * d * d * off + diag)
-
-
 def standardization_scale(f_vals, curve: LwCurve) -> float:
     """Null standard deviation of the statistic per sqrt(p)."""
     F = np.asarray(f_vals, dtype=float)[None, :]

@@ -215,10 +215,12 @@ def rss_experiment(
     run through scoring.map_indices (threads=None: one worker per core).
     Returns (scores, curves): an RssScores with one ScoreBlock or Failure
     per (resample, method), and one pooled ROC per method.  A spectral
-    method with n at most the channel count is a RegimeError before any
-    fit.
+    method with n at most the channel count is a RegimeError, and a series
+    with no active instant a DataError, both raised before any fit.
     """
     check_regime(cfg.methods, series.p, cfg.n)
+    if not series.activity.any():
+        raise DataError("rss series has no active instant (every label is 0)")
     work = detrend(series, cfg.detrend, cfg.window)
     inactive = np.flatnonzero(~work.activity)
     if cfg.n >= inactive.size:

@@ -1,7 +1,8 @@
 """Precision-shrinkage curve constructions: the criterion-optimal shrinker,
 its deterministic-limit oracle, and the comparator estimators (nonlinear
-reciprocal, ridge with grid-selected intercept, regularized scatter fixed
-point, identity, classical inverse).
+reciprocal, ridge whose intercept a zooming log-grid search picks to
+maximize the criterion, regularized scatter fixed point, identity,
+classical inverse).
 """
 
 from __future__ import annotations
@@ -10,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (
-    GAUSSIAN_QF_VARIANCE_FACTOR,
-    criterion_batch,
-    gamma_tilde_all,
-    sigma_tilde_unit_norms,
-)
+from .detector import criterion_batch
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -35,7 +31,8 @@ from .mpkernel import (
 )
 
 PRIOR_MODES = ("identity", "covariance_matched")
-GRID_CHUNK = 4096
+LAPPW_GRID = 10_000  # log-spaced intercepts lappw_select_b searches
+LAPPW_POINTS = 33  # evaluated per round; at most 4 rounds cover LAPPW_GRID
 TYLER_TOL = 1e-8  # relative Frobenius change that stops tyler_estimator
 
 
@@ -181,132 +178,30 @@ def ridge_shrinker(lam, b: float, label: str = "ridge") -> ShrinkageCurve:
     return ShrinkageCurve(values=1.0 / (lam + b), label=label)
 
 
-def lappw_select_b(
-    curve: LwCurve, prior: PriorSpec, grid_points: int = 10_000
-) -> float:
+def lappw_select_b(curve: LwCurve, prior: PriorSpec) -> float:
     """Intercept for the ridge family maximizing the detection criterion.
 
-    Searches a log-spaced grid on [mean(lam), 20 max(lam)]: the exact argmax
-    of criterion_batch over the grid, ties broken toward the smaller
-    intercept.  lappw_criterion_bounds screens the grid at low rank; only
-    the points whose upper bound reaches the best lower bound are evaluated
-    in full.
+    Zooming search over LAPPW_GRID log-spaced intercepts on
+    [mean(lam), 20 max(lam)]: each round evaluates criterion_batch at
+    LAPPW_POINTS evenly spaced grid indices of the bracket, then narrows the
+    bracket to the two neighbours of the round's argmax, until a round has
+    evaluated every index of its bracket.  Returns the best intercept seen,
+    ties going to the one found first (the smaller, within a round).
     """
-    if grid_points < 2:
-        raise ConfigError(f"grid needs at least 2 points, got {grid_points}")
     lam = curve.lam
     hbar = hbar_values(prior, curve)
-    bs = np.geomspace(lam.mean(), 20.0 * lam.max(), int(grid_points))
-    u_lo, u_hi = lappw_criterion_bounds(curve, hbar, bs)
-    (candidates,) = np.nonzero(u_hi >= u_lo.max())
-    best_u = -np.inf
-    best_b = bs[0]
-    for start in range(0, candidates.size, GRID_CHUNK):
-        bchunk = bs[candidates[start : start + GRID_CHUNK]]
-        u = criterion_batch(1.0 / (lam[None, :] + bchunk[:, None]), hbar, curve)
+    grid = np.geomspace(lam.mean(), 20.0 * lam.max(), LAPPW_GRID)
+    lo, hi = 0, LAPPW_GRID - 1
+    best_b, best_u = grid[0], -np.inf
+    while True:
+        idx = np.unique(np.rint(np.linspace(lo, hi, LAPPW_POINTS)).astype(int))
+        u = criterion_batch(1.0 / (lam[None, :] + grid[idx, None]), hbar, curve)
         j = int(np.argmax(u))
         if u[j] > best_u:
-            best_u = float(u[j])
-            best_b = float(bchunk[j])
-    return best_b
-
-
-def lappw_criterion_bounds(curve: LwCurve, hbar, bs):
-    """Bounds (u_lo, u_hi) on criterion_batch of every ridge row
-    1/(lam + b), b in the log-spaced grid bs, in O(p^2 r + len(bs) r^2)
-    work and without a len(bs) x p array.
-
-    With log b = c + h x, x in [-1, 1], entry i of a row is
-    f_i(x) = 1/(lam_i + exp(c + h x)).  It is analytic in the Bernstein
-    ellipse E_rho of semi-minor axis 3 pi/(4h); there exp(c + h x) lies in
-    the sector |arg| <= 3 pi/4, at distance at least lam_i/sqrt(2) from
-    -lam_i, so |f_i| <= sqrt(2)/lam_i, and the degree-n interpolant in the
-    n + 1 Chebyshev points is within 4 sqrt(2) rho^-n / ((rho - 1) lam_i)
-    of f_i (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 8.2).
-    The numerator hbar'f is linear in f, and sqrt(2 p sigma_tilde2(f)) =
-    sqrt(2) ||A f|| with A linear (sigma_tilde_unit_norms), so an entry
-    error e moves the numerator by at most |hbar|'e and ||A f|| by at most
-    sum_i e_i ||A e_i||.  The interpolant's ||A f|| is ||R t(x)||, with R
-    the triangular factor of the r = n + 1 coefficient rows mapped by A
-    and t(x) the Chebyshev basis at x.
-
-    Rounding is bounded by the stated slack 8 (p + r^2) eps, relative to
-    each quantity's scale: O(r^2) for the Chebyshev transform and
-    recurrence, O(p) for the p-term sums here and in criterion_batch.  n
-    is the smallest degree whose interpolation error is below that slack.
-    A point whose scale bound reaches 0, or whose bounds are not finite,
-    gets (-inf, inf).
-    """
-    lam, p = curve.lam, curve.p
-    hbar = np.asarray(hbar, dtype=float)
-    bs = np.asarray(bs, dtype=float)
-    c = 0.5 * (np.log(bs[-1]) + np.log(bs[0]))
-    h = 0.5 * (np.log(bs[-1]) - np.log(bs[0]))
-    minor = 0.75 * np.pi / h
-    rho = minor + np.hypot(minor, 1.0)
-    n = 1
-    while _interpolation_error(rho, n) > _slack(p, n + 1):
-        n += 1
-    slack = _slack(p, n + 1)
-    # Interpolant in the points cos(j pi / n): its coefficients are a
-    # discrete cosine transform in which the two end terms count half.
-    nodes = np.cos(np.pi * np.arange(n + 1) / n)
-    values = 1.0 / (lam[None, :] + np.exp(c + h * nodes)[:, None])
-    values[[0, n]] *= 0.5
-    coef = (2.0 / n) * (_chebyshev_basis(nodes, n) @ values)
-    coef[[0, n]] *= 0.5
-    v = coef @ hbar
-    mapped = gamma_tilde_all(coef, curve) * np.sqrt(lam * curve.d_tilde)
-    R = np.linalg.qr(mapped.T, mode="r")
-    entry_err = (_interpolation_error(rho, n) + slack) / lam
-    num_err = np.abs(hbar) @ entry_err + slack * np.abs(v).sum()
-    norm_err = sigma_tilde_unit_norms(curve) @ entry_err
-    norm_err += slack * np.linalg.norm(R, axis=0).sum()
-    x = np.clip((np.log(bs) - c) / h, -1.0, 1.0)
-    num = np.empty(bs.shape)
-    norm = np.empty(bs.shape)
-    for start in range(0, bs.size, GRID_CHUNK):
-        t = _chebyshev_basis(x[start : start + GRID_CHUNK], n)
-        num[start : start + GRID_CHUNK] = v @ t
-        rt = R @ t
-        norm[start : start + GRID_CHUNK] = np.sqrt(np.einsum("ij,ij->j", rt, rt))
-    u_lo = np.full(bs.shape, -np.inf)
-    u_hi = np.full(bs.shape, np.inf)
-    ok = (norm > norm_err) & np.isfinite(num)
-    scale = np.sqrt(GAUSSIAN_QF_VARIANCE_FACTOR * p)
-    corners = [
-        (num[ok] + dn) / (scale * (norm[ok] + dr))
-        for dn in (-num_err, num_err)
-        for dr in (-norm_err, norm_err)
-    ]
-    u_lo[ok] = np.min(corners, axis=0)
-    u_hi[ok] = np.max(corners, axis=0)
-    # criterion_batch's own rounding
-    u_lo -= slack * np.abs(u_lo)
-    u_hi += slack * np.abs(u_hi)
-    return u_lo, u_hi
-
-
-def _interpolation_error(rho: float, n: int) -> float:
-    """Thm 8.2 bound per unit of 1/lam_i, with |f_i| <= sqrt(2)/lam_i."""
-    return 4.0 * np.sqrt(2.0) / ((rho - 1.0) * rho**n)
-
-
-def _slack(p: int, r: int) -> float:
-    return 8.0 * (p + r * r) * np.finfo(float).eps
-
-
-def _chebyshev_basis(x, n: int) -> np.ndarray:
-    """Chebyshev polynomials T_0 .. T_n at the points x, one row each."""
-    t = np.empty((n + 1, x.size))
-    t[0] = 1.0
-    t[1] = x
-    twice = 2.0 * x
-    for k in range(2, n + 1):
-        np.multiply(twice, t[k - 1], out=t[k])
-        t[k] -= t[k - 2]
-    return t
+            best_b, best_u = float(grid[idx[j]]), float(u[j])
+        if idx.size == hi - lo + 1:
+            return best_b
+        lo, hi = idx[max(j - 1, 0)], idx[min(j + 1, idx.size - 1)]
 
 
 def tyler_estimator(X, rho: float = 0.1, max_iter: int = 500) -> np.ndarray:

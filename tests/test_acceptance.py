@@ -202,9 +202,7 @@ def test_criterion_6_criterion_optimality():
                 )[0]
                 comparators = [
                     lw_comparator(curve).values,
-                    ridge_shrinker(
-                        curve.lam, lappw_select_b(curve, prior, 10_000)
-                    ).values,
+                    ridge_shrinker(curve.lam, lappw_select_b(curve, prior)).values,
                     hotelling_shrinker(curve.lam).values,
                     identity_shrinker(p).values,
                 ]

@@ -128,10 +128,10 @@ def _subprocess_env(blas):
     return env
 
 
-def _rss_inputs(tmp_path, config_text, T=90, p=4):
+def _rss_inputs(tmp_path, config_text, T=90, p=4, active=True):
     rng = substream(2, "cli-rss")
     activity = np.zeros(T, dtype=bool)
-    activity[2 * T // 3 : 2 * T // 3 + T // 6] = True
+    activity[2 * T // 3 : 2 * T // 3 + T // 6] = active
     channels = rng.standard_normal((T, p))
     if p > 4:  # correlated channels, so the spectrum is not flat
         channels += rng.standard_normal((T, 5)) @ rng.standard_normal((5, p))
@@ -391,6 +391,17 @@ class TestRssCommand:
         assert "numeric error: every method failed: cq 2x" in err
         assert "forced cq failure" in err
         assert len(_errors_csv(out)) == 3
+        assert not (out / "scores.csv").exists()
+
+    def test_no_active_instant_exits_3(self, tmp_path, capsys):
+        data, cfg = _rss_inputs(
+            tmp_path,
+            "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n",
+            active=False,
+        )
+        out = tmp_path / "out"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 3
+        assert "rss series has no active instant" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
     @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["missing", "even"])

@@ -9,7 +9,6 @@ from hdshrink.detector import (
     criterion_batch,
     gamma_tilde_all,
     sigma_tilde2_batch,
-    sigma_tilde_unit_norms,
     srht_many,
     standardization_scale,
 )
@@ -145,16 +144,6 @@ class TestSigmaTilde2:
         oracle = np.trace(fS @ fS) / spec.p  # Sigma = I
         got = sigma_tilde2_batch(shrink.values[None, :], curve)[0]
         assert got == pytest.approx(oracle, rel=0.15)
-
-    @pytest.mark.parametrize("diagonal", [0.0, 0.3])
-    def test_unit_norms_match_unit_vectors(self, identity_fit, diagonal):
-        # The kernel's own diagonal is zero; a shifted one checks that term.
-        _, _, fit = identity_fit
-        K = fit.hilbert_matrix + diagonal * np.eye(fit.p)
-        curve = dataclasses.replace(fit, hilbert_matrix=K)
-        direct = np.sqrt(fit.p * sigma_tilde2_batch(np.eye(fit.p), curve))
-        got = sigma_tilde_unit_norms(curve)
-        assert np.allclose(got, direct, rtol=1e-12, atol=0.0)
 
 
 class TestStandardize:
