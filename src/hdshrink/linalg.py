@@ -1,5 +1,6 @@
-"""Dense symmetric linear algebra: sample covariance, eigendecomposition
-and triangular solves, plus control of the BLAS thread count.
+"""Dense symmetric linear algebra: sample covariance, eigendecomposition,
+Cholesky factors and triangular solves, plus control of the BLAS thread
+count.
 
 Data matrices are p x n arrays whose columns are observations.  All
 operations are pure; returned arrays are freshly allocated.
@@ -132,17 +133,37 @@ def eigh(S: np.ndarray) -> Spectrum:
 
 def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """L^{-1} B for a nonsingular lower-triangular L, by blocked forward
-    substitution: each block of FORWARD_BLOCK rows is solved with the
-    inverse of its diagonal block, then eliminated from the rows below, so
-    the work is matrix products throughout."""
+    substitution: each block of FORWARD_BLOCK rows has the solved rows above
+    it eliminated, then is solved with the inverse of its diagonal block, so
+    the work is matrix products throughout.  Every product goes to one
+    block-sized buffer, not to a fresh array per block."""
     Y = np.array(B, dtype=float, order="C")
     p = L.shape[0]
+    buf = np.empty((min(FORWARD_BLOCK, p), Y.shape[1]))
     for k in range(0, p, FORWARD_BLOCK):
         e = min(k + FORWARD_BLOCK, p)
-        Y[k:e] = np.linalg.inv(L[k:e, k:e]) @ Y[k:e]
-        if e < p:
-            Y[e:] -= L[e:, k:e] @ Y[k:e]
+        t = buf[: e - k]
+        if k:
+            np.matmul(L[k:e, :k], Y[:k], out=t)
+            Y[k:e] -= t
+        np.matmul(np.linalg.inv(L[k:e, k:e]), Y[k:e], out=t)
+        Y[k:e] = t
     return Y
+
+
+def cholesky(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite S."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"matrix lost positive definiteness: {exc}") from exc
+
+
+def inverse_quadratic_forms(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """d_j' S^{-1} d_j for every column d_j of D, as ||L^{-1} d_j||^2 from
+    the Cholesky factor L of S."""
+    Z = forward_substitute(L, D)
+    return np.einsum("ij,ij->j", Z, Z)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -25,7 +25,14 @@ import numpy as np
 
 from . import detector, shrinkers
 from .errors import ConfigError, RegimeError
-from .linalg import Spectrum, eigh, sample_covariance, single_threaded_blas
+from .linalg import (
+    Spectrum,
+    cholesky,
+    eigh,
+    inverse_quadratic_forms,
+    sample_covariance,
+    single_threaded_blas,
+)
 from .mpkernel import LwCurve, lw_curve
 
 logger = logging.getLogger(__name__)
@@ -140,13 +147,11 @@ class _SpectralScorer:
 
 class _TylerScorer:
     def __init__(self, fit: FittedReference):
-        scatter = shrinkers.tyler_estimator(fit.X)
-        self.precision = np.linalg.inv(scatter)
+        self.factor = cholesky(shrinkers.tyler_estimator(fit.X))
         self.xbar = fit.xbar
 
     def __call__(self, Y: np.ndarray):
-        D = Y - self.xbar[:, None]
-        raw = np.einsum("ij,ij->j", D, self.precision @ D)
+        raw = inverse_quadratic_forms(self.factor, Y - self.xbar[:, None])
         return raw.copy(), raw
 
 

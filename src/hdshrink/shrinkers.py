@@ -7,6 +7,7 @@ classical inverse).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     NumericError,
     RegimeError,
 )
-from .linalg import forward_substitute
+from .linalg import cholesky, inverse_quadratic_forms
 from .mpkernel import (
     DensityOracle,
     LwCurve,
@@ -34,6 +35,7 @@ PRIOR_MODES = ("identity", "covariance_matched")
 LAPPW_GRID = 10_000  # log-spaced intercepts lappw_select_b searches
 LAPPW_POINTS = 33  # evaluated per round; at most 4 rounds cover LAPPW_GRID
 TYLER_TOL = 1e-8  # relative Frobenius change that stops tyler_estimator
+TYLER_DEPTH = 5  # differences tyler_estimator's Anderson mixing keeps
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,29 @@ def lappw_select_b(curve: LwCurve, prior: PriorSpec) -> float:
         lo, hi = idx[max(j - 1, 0)], idx[min(j + 1, idx.size - 1)]
 
 
+def _anderson_mix(g, f, dg, df):
+    """g - dG gamma, with gamma the least-squares fit of the residual f by
+    its differences dF, solved on their Gram matrix."""
+    F = np.array(df)
+    gamma = np.linalg.lstsq(F @ F.T, F @ f, rcond=None)[0]
+    return g - gamma @ np.array(dg)
+
+
 def tyler_estimator(X, rho: float = 0.1, max_iter: int = 500) -> np.ndarray:
     """Regularized scatter M-estimator fixed point, trace-normalized.
 
-    Iterates S <- (1 - rho) (p/n) sum_i x_i x_i' / (x_i' S^{-1} x_i) + rho I
-    on centered samples, rescaling to trace p each step, until the relative
-    Frobenius change is at most TYLER_TOL.
+    The fixed point (Chen, Wiesel & Hero, IEEE Trans. Signal Process. 2011)
+    of S = (1 - rho) (p/n) sum_i w_i x_i x_i' + rho I, rescaled to trace p,
+    with sample weights w_i = 1 / (x_i' S^{-1} x_i) on centered samples.
+    S(w) is a function of the n weights, and the iteration runs on them.
+    Each iteration factors S(w), takes the plain weights g = 1 / q from the
+    factor, and returns the plain image S(g) once its relative Frobenius
+    change from S(w) is at most TYLER_TOL. Otherwise the next w is the
+    Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) of the last
+    TYLER_DEPTH differences of g and of g - w, or g itself, with the
+    differences dropped, when a mixed weight is not positive. The start
+    w_i = 1 / mean ||x_i||^2 makes S the trace-normalized (1 - rho) S_n + rho I
+    of the sample covariance S_n.
     """
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
@@ -222,31 +241,41 @@ def tyler_estimator(X, rho: float = 0.1, max_iter: int = 500) -> np.ndarray:
             "the unregularized scatter fixed point needs n > p; pass rho > 0"
         )
     Xc = X - X.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(Xc, axis=0)
-    if np.any(norms == 0.0):
+    sq_norms = np.einsum("ij,ij->j", Xc, Xc)
+    if np.any(sq_norms == 0.0):
         raise DataError("tyler_estimator: a centered sample is the zero vector")
 
-    sigma = np.eye(p)
+    def scatter(w):
+        W = Xc * np.sqrt(w)
+        S = W @ W.T  # symmetric product: numpy calls syrk
+        S *= (1.0 - rho) * (p / n)
+        S[np.diag_indices(p)] += rho
+        S *= p / np.trace(S)
+        return (S + S.T) / 2.0
+
+    w = np.full(n, n / sq_norms.sum())
+    sigma = scatter(w)
+    dg, df = deque(maxlen=TYLER_DEPTH), deque(maxlen=TYLER_DEPTH)
     residual = np.inf
-    for _ in range(max_iter):
-        try:
-            L = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"scatter iterate lost positive definiteness: {exc}"
-            ) from exc
-        Z = forward_substitute(L, Xc)
-        q = np.einsum("ij,ij->j", Z, Z)  # x_i' sigma^{-1} x_i
-        W = Xc / np.sqrt(q)
-        updated = W @ W.T  # symmetric product: numpy calls syrk
-        updated *= (1.0 - rho) * (p / n)
-        updated[np.diag_indices(p)] += rho
-        updated *= p / np.trace(updated)
-        updated = (updated + updated.T) / 2.0
-        residual = np.linalg.norm(updated - sigma) / np.linalg.norm(sigma)
-        sigma = updated
+    for it in range(max_iter):
+        g = 1.0 / inverse_quadratic_forms(cholesky(sigma), Xc)
+        image = scatter(g)
+        residual = np.linalg.norm(image - sigma) / np.linalg.norm(sigma)
         if residual <= TYLER_TOL:
-            return sigma
+            return image
+        f = g - w
+        if it:
+            dg.append(g - g_last)
+            df.append(f - f_last)
+        g_last, f_last = g, f
+        w, sigma = g, image
+        if df:
+            mixed = _anderson_mix(g, f, dg, df)
+            if np.all(mixed > 0.0):
+                w, sigma = mixed, scatter(mixed)
+            else:
+                dg.clear()
+                df.clear()
     raise ConvergenceError(
         f"tyler_estimator did not reach tol={TYLER_TOL} in {max_iter} iterations "
         f"(last residual {residual:.3e})",
