@@ -27,7 +27,6 @@ from .linalg import Spectrum, eigh, sample_covariance
 from .mpkernel import (
     DensityOracle,
     LwCurve,
-    delta_curve,
     identity_mp_oracle,
     kernel_matrix,
     lw_curve,

@@ -187,15 +187,13 @@ def _cmd_oracle(args) -> int:
     xs = np.linspace(a + margin, b - margin, args.points)
     ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
     fstar = fstar_curve(oracle, ones, xs)
+    cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)
+    cells = np.column_stack(cols).ravel().tolist()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,w,hw,delta,fstar\n")
-        for x, f in zip(xs, fstar):
-            fh.write(
-                f"{x:.17g},{oracle.w(x):.17g},{oracle.Hw(x):.17g},"
-                f"{oracle.delta(x):.17g},{f:.17g}\n"
-            )
+        fh.write(("%.17g,%.17g,%.17g,%.17g,%.17g\n" * xs.size) % tuple(cells))
     print(f"oracle: wrote {path}")
     return 0
 

@@ -1,6 +1,7 @@
 """Semicircular-kernel estimation of the limiting spectral density, its
 Hilbert transform, and the nonlinear shrinkage curve built from them, plus
-closed-form and principal-value quadrature oracles for the identity model.
+the closed-form oracle of the identity model and the principal-value
+quadrature rule that shrinkers.fstar_curve uses.
 
 Conventions: the Hilbert transform carries the 1/pi factor,
 Hf(x) = pi^{-1} p.v. integral f(t) / (t - x) dt, and the kernel pair is
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, RegimeError
 
 BANDWIDTH_EXPONENT = -1.0 / 3.0
-ORACLE_GRID_POINTS = 4001
 
 
 def semicircle_kernel(x):
@@ -132,12 +132,15 @@ def _check_uniform_grid(grid) -> float:
     return float(h)
 
 
-def _digamma(z: float) -> float:
-    """Digamma for z > 0 via upward recurrence and the asymptotic series."""
-    acc = 0.0
-    while z < 8.0:
-        acc -= 1.0 / z
-        z += 1.0
+def _digamma(z) -> np.ndarray:
+    """Digamma for z > 0 via upward recurrence and the asymptotic series,
+    elementwise."""
+    z = np.array(z, dtype=float)
+    acc = np.zeros_like(z)
+    while np.any(z < 8.0):
+        low = z < 8.0
+        acc -= np.where(low, 1.0 / z, 0.0)
+        z = np.where(low, z + 1.0, z)
     inv2 = 1.0 / (z * z)
     return acc + (
         np.log(z)
@@ -146,19 +149,26 @@ def _digamma(z: float) -> float:
     )
 
 
-def pv_hilbert(f_vals, grid, x) -> float:
-    """Principal-value Hilbert transform of a tabulated function at x.
+def pv_hilbert(f_vals, grid, xs):
+    """Principal-value Hilbert transform of a tabulated function at the
+    points xs.
 
-    Sum over the uniform grid with the two nodes straddling the singularity
+    Sum over the uniform grid with the two nodes k, k + 1 around each x
     excluded, plus the analytic correction for the excluded pair.  Writing
-    theta for the fractional offset of x in its cell, the punctured sum of
-    the singular part differs from the principal value by the digamma gap
-    psi(1 + theta) - psi(2 - theta) and the smooth part misses 2h f'(x), so
+    theta in [0, 1) for the fractional offset of x in its cell, the
+    punctured sum of the singular part differs from the principal value by
+    the digamma gap psi(1 + theta) - psi(2 - theta), and the smooth part
+    misses the pair's h [g(t_k) + g(t_k+1)], g(t) = (f(t) - f(x)) / (t - x),
+    which is 2h f'(x) + (1/2 - theta) h^2 f''(x) to second order, so
 
-        pv = sum + 2h f'(x) + f(x) [psi(2 - theta) - psi(1 + theta)].
+        pv = sum + 2h f'(x) + (1/2 - theta) h^2 f''(x)
+             + f(x) [psi(2 - theta) - psi(1 + theta)].
 
-    Second-order accurate for C^2 integrands, uniformly in theta; used as
-    an oracle, not inside the fitted estimators.
+    Second-order accurate for C^2 integrands, uniformly in theta, a node
+    (theta = 0) included.  The f'' term makes the rule continuous where the
+    excluded pair moves on at a node; without it the value would jump by
+    the second difference of f there over pi.  Used as an oracle, not
+    inside the fitted estimators.
     """
     f = np.asarray(f_vals, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -166,79 +176,63 @@ def pv_hilbert(f_vals, grid, x) -> float:
         raise DimensionError("tabulated values and grid must have equal length")
     h = _check_uniform_grid(grid)
     N = grid.shape[0]
-    pos = (x - grid[0]) / h
-    if not (2.0 <= pos <= N - 3.0):
+    x = np.asarray(xs, dtype=float)
+    flat = x.ravel()
+    pos = (flat - grid[0]) / h
+    # Nodes 2 and N - 3 are inside, whichever way their offset rounds.
+    if not np.all((pos > 2.0 - 1e-9) & (pos < N - 3.0 + 1e-9)):
         raise DomainError(
-            f"x={x} is not strictly inside the grid interior [{grid[2]}, {grid[-3]}]"
+            f"points must lie inside the grid interior [{grid[2]}, {grid[-3]}]"
         )
-    df = np.gradient(f, h)
-    nearest = int(round(pos))
-    if abs(pos - nearest) < 1e-9:
-        # x on a node: drop that node; the punctured sum of the singular
-        # part is already symmetric and the smooth part misses h f'(x).
-        mask = np.ones(N, dtype=bool)
-        mask[nearest] = False
-        total = h * np.sum(f[mask] / (grid[mask] - x))
-        total += h * df[nearest]
-        return float(total / np.pi)
-    k = int(np.floor(pos))
+    k = np.floor(pos).astype(int)
     theta = pos - k
-    mask = np.ones(N, dtype=bool)
-    mask[k] = False
-    mask[k + 1] = False
-    total = h * np.sum(f[mask] / (grid[mask] - x))
+    df = np.gradient(f, h)
+    d2f = np.zeros(N)  # h^2 f'' at the nodes, by second differences
+    d2f[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
     fx = (1.0 - theta) * f[k] + theta * f[k + 1]
     fpx = (1.0 - theta) * df[k] + theta * df[k + 1]
-    total += 2.0 * h * fpx + fx * (_digamma(2.0 - theta) - _digamma(1.0 + theta))
-    return float(total / np.pi)
-
-
-def pv_hilbert_nodes(f_vals, grid) -> np.ndarray:
-    """pv_hilbert evaluated at every interior grid node (indices 2..N-3).
-
-    Returns an array aligned with the grid; the 2 outermost nodes on each
-    side are NaN because the stencil cannot reach them.
-    """
-    f = np.asarray(f_vals, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    h = _check_uniform_grid(grid)
-    N = grid.shape[0]
-    df = np.gradient(f, h)
-    out = np.full(N, np.nan)
-    idx = np.arange(2, N - 2)
+    f2x = (1.0 - theta) * d2f[k] + theta * d2f[k + 1]
+    punctured = np.empty(pos.size)
     # Chunk the outer difference to bound memory on long grids.
-    for start in range(0, idx.size, 512):
-        rows = idx[start : start + 512]
-        diff = grid[None, :] - grid[rows, None]
+    for start in range(0, pos.size, 512):
+        rows = slice(start, start + 512)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = f[None, :] / diff
-        ratio[np.arange(rows.size), rows] = 0.0
-        out[rows] = (h * ratio.sum(axis=1) + h * df[rows]) / np.pi
-    return out
+            ratio = f[None, :] / (grid[None, :] - flat[rows, None])
+        r = np.arange(ratio.shape[0])
+        ratio[r, k[rows]] = 0.0
+        ratio[r, k[rows] + 1] = 0.0
+        punctured[rows] = ratio.sum(axis=1)
+    total = h * punctured + 2.0 * h * fpx + (0.5 - theta) * f2x
+    total += fx * (_digamma(2.0 - theta) - _digamma(1.0 + theta))
+    out = (total / np.pi).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class DensityOracle:
-    """Closed-form density with quadrature-based Hilbert transform and the
-    known shrinkage limit, for one aspect ratio phi."""
+    """Closed-form density, Hilbert transform and shrinkage limit for one
+    aspect ratio phi."""
 
     phi: float
     support: tuple
     w: Callable
     Hw: Callable
     delta: Callable
-    grid: np.ndarray
-    w_grid: np.ndarray
-    hw_grid: np.ndarray
 
 
 def identity_mp_oracle(phi: float) -> DensityOracle:
     """Oracle for identity population covariance at aspect ratio phi.
 
-    The density is the classical square-root law on
-    [(1 - sqrt(phi))^2, (1 + sqrt(phi))^2]; its Hilbert transform is
-    tabulated by principal-value quadrature on ORACLE_GRID_POINTS nodes; the
-    shrinkage limit is identically one on the support.
+    The density is the classical square-root law on [a, b] =
+    [(1 - sqrt(phi))^2, (1 + sqrt(phi))^2].  Its Hilbert transform is the
+    real part of the Stieltjes transform m(x + i0) over pi, the root of
+    phi z m^2 - (1 - phi - z) m + 1 = 0 (Marchenko & Pastur 1967):
+
+        Hw(x) = (1 - phi - x + sign(x - 1 - phi) sqrt(((x - a)(x - b))_+))
+                / (2 pi phi x),  x > 0.
+
+    delta is the shrinkage limit of lw_curve's formula at w and Hw; it is
+    one on the support.
     """
     if not (0.0 < phi < 1.0):
         raise DomainError(f"aspect ratio must lie in (0, 1), got {phi}")
@@ -249,7 +243,6 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
     def w(x):
         x = np.asarray(x, dtype=float)
         inside = (x > a) & (x < b)
-        out = np.zeros_like(x, dtype=float)
         xs = np.where(inside, x, 1.0)
         vals = np.sqrt(np.clip((xs - a) * (b - xs), 0.0, None)) / (
             2.0 * np.pi * phi * xs
@@ -257,43 +250,18 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
         out = np.where(inside, vals, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    pad = 0.25 * (b - a)
-    grid = np.linspace(a - pad, b + pad, ORACLE_GRID_POINTS)
-    w_grid = w(grid)
-    hw_grid = pv_hilbert_nodes(w_grid, grid)
-    valid = ~np.isnan(hw_grid)
-
     def Hw(x):
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, grid[valid], hw_grid[valid])
+        if np.any(x <= 0):
+            raise DomainError("the identity oracle requires x > 0")
+        root = np.sqrt(np.clip((x - a) * (x - b), 0.0, None))
+        root *= np.sign(x - 1.0 - phi)
+        out = (1.0 - phi - x + root) / (2.0 * np.pi * phi * x)
         return float(out) if out.ndim == 0 else out
 
     def delta(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= a) & (x <= b)
-        out = np.where(inside, 1.0, _shrinkage_limit(x, phi, 0.0, Hw(x)))
+        out = _shrinkage_limit(x, phi, w(x), Hw(x))
         return float(out) if out.ndim == 0 else out
 
-    return DensityOracle(
-        phi=phi,
-        support=(a, b),
-        w=w,
-        Hw=Hw,
-        delta=delta,
-        grid=grid,
-        w_grid=w_grid,
-        hw_grid=hw_grid,
-    )
-
-
-def delta_curve(oracle: DensityOracle, x) -> float:
-    """Shrinkage limit evaluated from the oracle's density and transform.
-
-    delta(x) = x / ([1 - phi - pi phi x Hw(x)]^2 + pi^2 phi^2 x^2 w(x)^2),
-    with the floored denominator shared with lw_curve.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("delta_curve requires x > 0")
-    out = _shrinkage_limit(x, oracle.phi, oracle.w(x), oracle.Hw(x))
-    return float(out) if out.ndim == 0 else out
+    return DensityOracle(phi=phi, support=(a, b), w=w, Hw=Hw, delta=delta)

@@ -23,19 +23,14 @@ from .errors import (
     RegimeError,
 )
 from .linalg import cholesky, inverse_quadratic_forms
-from .mpkernel import (
-    DensityOracle,
-    LwCurve,
-    eps_den,
-    pv_hilbert,
-    pv_hilbert_nodes,
-)
+from .mpkernel import DensityOracle, LwCurve, eps_den, pv_hilbert
 
 PRIOR_MODES = ("identity", "covariance_matched")
 LAPPW_GRID = 10_000  # log-spaced intercepts lappw_select_b searches
 LAPPW_POINTS = 33  # evaluated per round; at most 4 rounds cover LAPPW_GRID
 TYLER_TOL = 1e-8  # relative Frobenius change that stops tyler_estimator
 TYLER_DEPTH = 5  # differences tyler_estimator's Anderson mixing keeps
+ORACLE_GRID_POINTS = 4001  # pv_hilbert nodes under fstar_curve
 
 
 @dataclass(frozen=True)
@@ -125,44 +120,38 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageC
     return ShrinkageCurve(values=np.maximum(f, 0.0), label="proposed")
 
 
-def _hbar_at(hbar, x) -> np.ndarray:
-    """The prior weight function at the points x, broadcast when it
-    returns one number."""
-    hb = np.asarray(hbar(x), dtype=float)
-    return hb if hb.shape == x.shape else np.full(x.shape, float(hbar(x[0])))
-
-
 def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
     """Limiting optimal shrinker at the points xs, strictly inside the
-    support.
+    support, for the prior weight function hbar (a callable on arrays).
 
-    f* = (g^2 h + g G H) / a - H[(G^2 H + G g h) / a], with every Hilbert
-    transform computed by principal-value quadrature on the oracle grid.
+    f* = (g^2 h + g G H) / a - H[(G^2 H + G g h) / a], with g and the
+    denominator a = x delta from the oracle's closed forms.  The two
+    remaining Hilbert transforms, of hbar w and of the bracket, come from
+    pv_hilbert on ORACLE_GRID_POINTS nodes that span the support padded by
+    a quarter of its width on each side: at the nodes inside the support
+    for the bracket, and at xs directly.
     """
     xs = np.asarray(xs, dtype=float)
     a, b = oracle.support
     if np.any(xs <= a) or np.any(xs >= b):
         raise DomainError("all evaluation points must lie strictly inside the support")
-    grid, w, phi = oracle.grid, oracle.w_grid, oracle.phi
-    hb = _hbar_at(hbar, grid)
-    H = np.nan_to_num(pv_hilbert_nodes(hb * w, grid))
-    g = 1.0 - phi - phi * np.pi * grid * np.nan_to_num(oracle.hw_grid)
+    phi = oracle.phi
+    pad = 0.25 * (b - a)
+    grid = np.linspace(a - pad, b + pad, ORACLE_GRID_POINTS)
+    w, hb = oracle.w(grid), hbar(grid)
+    inside = w > 0.0
+    t = grid[inside]
+    g = 1.0 - phi - phi * np.pi * t * oracle.Hw(t)
+    H = pv_hilbert(hb * w, grid, t)
     # (G^2 H + G g h) / a reduces to w * (phi pi) * (phi pi x H - g hbar) / delta
-    q = np.where(
-        w > 0.0,
-        phi * np.pi * w * (phi * np.pi * grid * H - g * hb) / oracle.delta(grid),
-        0.0,
-    )
-    valid = ~np.isnan(oracle.hw_grid)
-    Hw_x = np.interp(xs, grid[valid], oracle.hw_grid[valid])
-    Hvalid = slice(2, grid.shape[0] - 2)
-    H_x = np.interp(xs, grid[Hvalid], H[Hvalid])
+    q = np.zeros_like(grid)
+    q[inside] = phi * np.pi * w[inside] * (phi * np.pi * t * H - g * hb[inside])
+    q[inside] /= oracle.delta(t)
     delta_x = oracle.delta(xs)
-    g_x = 1.0 - phi - phi * np.pi * xs * Hw_x
-    term1 = g_x * g_x * _hbar_at(hbar, xs) / (xs * delta_x)
-    term1 -= phi * np.pi * g_x * H_x / delta_x
-    term2 = np.array([pv_hilbert(q, grid, float(x)) for x in xs])
-    return term1 - term2
+    g_x = 1.0 - phi - phi * np.pi * xs * oracle.Hw(xs)
+    term1 = g_x * g_x * hbar(xs) / (xs * delta_x)
+    term1 -= phi * np.pi * g_x * pv_hilbert(hb * w, grid, xs) / delta_x
+    return term1 - pv_hilbert(q, grid, xs)
 
 
 def lw_comparator(curve: LwCurve) -> ShrinkageCurve:

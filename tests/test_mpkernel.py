@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from hdshrink.errors import DomainError, RegimeError
 from hdshrink.linalg import sample_covariance
 from hdshrink.mpkernel import (
-    delta_curve,
     eps_den,
     identity_mp_oracle,
     kernel_matrix,
@@ -15,6 +14,17 @@ from hdshrink.mpkernel import (
 )
 
 PHI = 0.2
+OUTSIDE = (0.05, 0.2, 2.3, 3.0, 5.0, 10.0)  # support at PHI: [0.3056, 2.0944]
+
+
+def stieltjes_hw(x, eps):
+    """Re m(x + i eps) / pi for the identity model's Stieltjes transform m,
+    the root of phi z m^2 - (1 - phi - z) m + 1 = 0 in the upper half-plane.
+    Inside the support eps = 0 gives the conjugate pair; outside it a tiny
+    eps picks the branch, off by O(eps^2)."""
+    z = complex(x, eps)
+    roots = np.roots([PHI * z, -(1 - PHI - z), 1.0])
+    return roots[np.argmax(roots.imag)].real / np.pi
 
 
 def density_at(lam, n, x):
@@ -187,18 +197,32 @@ class TestPvHilbert:
 
     def test_consistent_with_stieltjes_equation(self):
         # The self-consistent equation for the identity model reduces to
-        # phi z m^2 - (1 - phi - z) m + 1 = 0; the transform at x + i*eps
+        # phi z m^2 - (1 - phi - z) m + 1 = 0; the transform at x + i0
         # has real part pi * Hw(x).
         oracle = identity_mp_oracle(PHI)
         a, b = oracle.support
         for x in np.linspace(a + 0.2, b - 0.2, 5):
-            z = complex(x, 1e-6)
-            coeffs = [PHI * z, -(1 - PHI - z), 1.0]
-            roots = np.roots(coeffs)
-            m = roots[np.argmax(roots.imag)]
-            assert m.imag > 0
-            hw = m.real / np.pi
-            assert oracle.Hw(x) == pytest.approx(hw, abs=2e-3)
+            assert oracle.Hw(x) == pytest.approx(stieltjes_hw(x, 0.0), abs=1e-12)
+
+    def test_vectorized_equals_pointwise(self):
+        grid = np.linspace(-4, 4, 8001)
+        k, _ = semicircle_kernel(grid)
+        xs = np.concatenate([grid[2:-2:7], grid[[-3]], np.linspace(-3.99, 3.99, 1200)])
+        pointwise = np.array([pv_hilbert(k, grid, x) for x in xs])
+        assert np.array_equal(pv_hilbert(k, grid, xs), pointwise)
+        assert pv_hilbert(k, grid, xs.reshape(2, -1)).shape == (2, xs.size // 2)
+
+    @pytest.mark.parametrize("node", [2667, 4000, 4300])
+    def test_continuous_through_a_node(self, node):
+        # One rule for every offset: at a node and 1e-9 cells either side
+        # the values agree, for the semicircle and a Gaussian.
+        grid = np.linspace(-4, 4, 8001)
+        h = grid[1] - grid[0]
+        x0 = grid[node]
+        xs = np.array([x0 - 1e-9 * h, x0, x0 + 1e-9 * h])
+        for f in (semicircle_kernel(grid)[0], np.exp(-grid**2)):
+            vals = pv_hilbert(f, grid, xs)
+            assert np.ptp(vals) <= 1e-9
 
     def test_rejects_x_outside_interior(self):
         grid = np.linspace(0, 1, 101)
@@ -207,6 +231,8 @@ class TestPvHilbert:
             pv_hilbert(f, grid, 1.5)
         with pytest.raises(DomainError):
             pv_hilbert(f, grid, 0.005)
+        with pytest.raises(DomainError):
+            pv_hilbert(f, grid, [0.5, 0.995])
 
 
 class TestIdentityOracle:
@@ -233,8 +259,8 @@ class TestIdentityOracle:
 
     def test_delta_is_one_on_support(self):
         oracle = identity_mp_oracle(PHI)
-        xs = np.linspace(*oracle.support, 21)[1:-1]
-        assert np.allclose(oracle.delta(xs), 1.0)
+        xs = np.linspace(*oracle.support, 21)
+        assert np.abs(oracle.delta(xs) - 1.0).max() <= 1e-14
 
     def test_hilbert_transform_closed_form(self):
         # pi * Hw(x) = (1 - phi - x) / (2 phi x) inside the support
@@ -242,7 +268,13 @@ class TestIdentityOracle:
         a, b = oracle.support
         xs = np.linspace(a + 0.1, b - 0.1, 9)
         exact = (1 - PHI - xs) / (2 * np.pi * PHI * xs)
-        assert np.abs(oracle.Hw(xs) - exact).max() <= 1e-3
+        assert np.abs(oracle.Hw(xs) - exact).max() <= 1e-15
+
+    def test_hilbert_transform_outside_support(self):
+        # Exact off the support too, far past the edges included.
+        oracle = identity_mp_oracle(PHI)
+        for x in OUTSIDE:
+            assert oracle.Hw(x) == pytest.approx(stieltjes_hw(x, 1e-9), abs=1e-12)
 
     def test_rejects_bad_phi(self):
         with pytest.raises(DomainError):
@@ -256,21 +288,25 @@ class TestDeltaCurve:
         oracle = identity_mp_oracle(PHI)
         a, b = oracle.support
         xs = np.linspace(a + 0.05, b - 0.05, 15)
-        assert np.abs(delta_curve(oracle, xs) - 1.0).max() <= 2e-2
+        assert np.abs(oracle.delta(xs) - 1.0).max() <= 1e-14
 
     def test_outside_support_reduction(self):
+        # w = 0 off the support, so delta = x / (1 - phi - pi phi x Hw)^2
         oracle = identity_mp_oracle(PHI)
-        x = 3.0  # w = 0 there
-        expected = x / (1 - PHI - np.pi * PHI * x * oracle.Hw(x)) ** 2
-        assert delta_curve(oracle, x) == pytest.approx(expected, rel=1e-12)
+        for x in OUTSIDE:
+            hw = stieltjes_hw(x, 1e-9)
+            expected = x / (1 - PHI - np.pi * PHI * x * hw) ** 2
+            assert oracle.delta(x) == pytest.approx(expected, rel=1e-12)
 
     def test_monte_carlo_consistency_with_lw_curve(self, identity_fit):
         X, _, curve = identity_fit
         oracle = identity_mp_oracle(X.shape[0] / X.shape[1])
         i = int(np.argmin(np.abs(curve.lam - 1.0)))
-        assert abs(curve.d_tilde[i] - delta_curve(oracle, curve.lam[i])) <= 0.05
+        assert abs(curve.d_tilde[i] - oracle.delta(curve.lam[i])) <= 0.05
 
     def test_requires_positive_x(self):
         oracle = identity_mp_oracle(PHI)
         with pytest.raises(DomainError):
-            delta_curve(oracle, -1.0)
+            oracle.delta(-1.0)
+        with pytest.raises(DomainError):
+            oracle.delta(np.array([1.0, 0.0]))
