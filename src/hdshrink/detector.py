@@ -3,14 +3,14 @@ empirical standardization, and the detection criterion.
 
 Standardization convention: sigma_tilde2_batch() estimates the trace
 functional p^{-1} tr(f(S) Sigma f(S) Sigma) for each row f of its input.  A
-Gaussian quadratic form z'Az has variance 2 tr(A^2), so every
-standardization scale in this module is sqrt(2 * sigma_tilde2) * sqrt(p);
-with that scale the null scores are asymptotically standard normal for
-Gaussian data.
+Gaussian quadratic form z'Az has variance 2 tr(A^2), so the one null scale,
+standardization_scale, is sqrt(2 * sigma_tilde2) per sqrt(p); Standardizer
+and criterion_batch divide by it, and the null scores are then
+asymptotically standard normal for Gaussian data.
 
 Each quantity comes in one batched form: srht_many scores a stack of test
-vectors, and gamma_tilde_all, sigma_tilde2_batch and criterion_batch take a
-(..., p) stack of shrinker value vectors.
+vectors, and gamma_tilde_all, sigma_tilde2_batch, standardization_scale and
+criterion_batch take a (..., p) stack of shrinker value vectors.
 """
 
 from __future__ import annotations
@@ -73,11 +73,16 @@ def sigma_tilde2_batch(F, curve: LwCurve) -> np.ndarray:
     return np.mean(g * g * curve.lam * curve.d_tilde, axis=-1)
 
 
-def standardization_scale(f_vals, curve: LwCurve) -> float:
-    """Null standard deviation of the statistic per sqrt(p)."""
-    F = np.asarray(f_vals, dtype=float)[None, :]
-    s2 = float(sigma_tilde2_batch(F, curve)[0])
-    return math.sqrt(GAUSSIAN_QF_VARIANCE_FACTOR * max(s2, 0.0))
+def standardization_scale(F, curve: LwCurve) -> np.ndarray:
+    """Null sd per sqrt(p), sqrt(2 max(sigma_tilde2(f), 0)), of each row f of F;
+    DegenerateStatisticError unless every one is finite and positive."""
+    s2 = sigma_tilde2_batch(F, curve)
+    sigma = np.sqrt(GAUSSIAN_QF_VARIANCE_FACTOR * np.maximum(s2, 0.0))
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise DegenerateStatisticError(
+            f"standardization scale degenerate (sigma={np.min(sigma)})"
+        )
+    return sigma
 
 
 class Standardizer:
@@ -88,13 +93,10 @@ class Standardizer:
     """
 
     def __init__(self, f_vals, curve: LwCurve):
+        f = np.asarray(f_vals, dtype=float)
         self.p = curve.p
-        self.sigma = standardization_scale(f_vals, curve)  # checks the length
-        self.mu = float(np.mean(np.asarray(f_vals, dtype=float) * curve.d_tilde))
-        if self.sigma <= 0.0 or not math.isfinite(self.sigma):
-            raise DegenerateStatisticError(
-                f"standardization scale degenerate (sigma={self.sigma})"
-            )
+        self.sigma = float(standardization_scale(f[None, :], curve)[0])
+        self.mu = float(np.mean(f * curve.d_tilde))
 
     def __call__(self, t2):
         return (t2 - self.mu * self.p) / (self.sigma * math.sqrt(self.p))
@@ -102,7 +104,7 @@ class Standardizer:
 
 def criterion_batch(F, hbar_vals, curve: LwCurve) -> np.ndarray:
     """Detection criterion u = [p^{-1} sum_i hbar(lam_i) f(lam_i)] / sigma(f)
-    for every row f of F, with sigma(f) = sqrt(2 sigma_tilde2(f)).
+    for every row f of F, with sigma(f) the standardization_scale.
 
     Degree-0 homogeneous in f; the quantity the proposed shrinker maximizes.
     """
@@ -110,9 +112,4 @@ def criterion_batch(F, hbar_vals, curve: LwCurve) -> np.ndarray:
     hbar = np.asarray(hbar_vals, dtype=float)
     if hbar.shape != (curve.p,):
         raise DimensionError("criterion inputs disagree in length")
-    s2 = sigma_tilde2_batch(F, curve)
-    if not np.all(np.isfinite(s2) & (s2 > 0.0)):
-        raise DegenerateStatisticError(
-            f"criterion scale degenerate (sigma_tilde2={np.min(s2)})"
-        )
-    return F @ hbar / curve.p / np.sqrt(GAUSSIAN_QF_VARIANCE_FACTOR * s2)
+    return F @ hbar / curve.p / standardization_scale(F, curve)

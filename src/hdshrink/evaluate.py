@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
+from .scoring import Failure
 
 POWER_LEVELS = (1e-1, 1e-2, 1e-4)
 
@@ -44,11 +45,12 @@ def roc(h0_scores, h1_scores, method: str = "") -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, method=method)
 
 
-def pooled_rocs(blocks, methods) -> list:
-    """One ROC per method, of its ScoreBlocks' score_z pooled over fits (label_h1
-    False rows as H0, True as H1); a method lacking either kind has none."""
+def pooled_rocs(fits, methods) -> list:
+    """One ROC per method, of the score_z of its ScoreBlocks among fits pooled
+    (label_h1 False rows as H0, True as H1; a Failure has no rows); a method
+    lacking either kind has none."""
     pooled = {m: ([], []) for m in methods}
-    for b in blocks:
+    for b in (f for f in fits if not isinstance(f, Failure)):
         pooled[b.method][0].append(b.score_z[~b.label_h1])
         pooled[b.method][1].append(b.score_z[b.label_h1])
     return [
@@ -95,10 +97,10 @@ def roc_corners(curve: RocCurve) -> RocCurve:
 
 
 def write_roc_csv(curves, path) -> None:
-    """One row per staircase corner (see roc_corners) of each curve."""
+    """One row per point of each curve (render passes the roc_corners)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,fpr,tpr,threshold\n")
-        for c in map(roc_corners, curves):
+        for c in curves:
             rows = zip(c.fpr.tolist(), c.tpr.tolist(), c.thresholds.tolist())
             fh.write(
                 "".join(f"{c.method},{f:.17g},{t:.17g},{h:.17g}\n" for f, t, h in rows)
@@ -154,7 +156,8 @@ def render(curves, out_dir, log_fpr: bool = False):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "roc.csv")
     svg_path = os.path.join(out_dir, "roc.svg")
-    write_roc_csv(curves, csv_path)
+    corners = [roc_corners(c) for c in curves]
+    write_roc_csv(corners, csv_path)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -169,7 +172,7 @@ def render(curves, out_dir, log_fpr: bool = False):
         f'<text x="18" y="{_H / 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {_H / 2})">detection rate</text>',
     ]
-    for i, c in enumerate(map(roc_corners, curves)):
+    for i, c in enumerate(corners):
         color = _PALETTE[i % len(_PALETTE)]
         px, py = _svg_coords(c.fpr, c.tpr, log_fpr)
         pts = " ".join(

@@ -237,9 +237,8 @@ def rss_experiment(
         ref_columns, test_columns = work.channels[ref].T, work.channels[test].T
         return fit_and_score(cfg, ref_columns, (test_columns,), work.activity[test], r)
 
-    fits = map_indices(resample, cfg.resamples, threads)
-    scores = RssScores([f for resample_fits in fits for f in resample_fits])
-    return scores, pooled_rocs(scores.blocks, cfg.methods)
+    fits = [f for r in map_indices(resample, cfg.resamples, threads) for f in r]
+    return RssScores(fits), pooled_rocs(fits, cfg.methods)
 
 
 def write_rss_scores_csv(scores: RssScores, path) -> None:

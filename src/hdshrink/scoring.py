@@ -2,12 +2,9 @@
 experiment drivers.
 
 A reference sample fixes the spectrum, shrinkage curve, and per-method
-scorers; test vectors are then scored in bulk.  Spectral methods emit both
-the raw quadratic form and its standardized score; the scatter fixed point
-and the cross-product comparator have no spectral standardization, so their
-standardized column repeats the raw score.  map_indices runs one
-fit_and_score task per trial or resample, in a pool with BLAS at one thread.
-parse_config reads either driver's config file into its config dataclass.
+scorers (build_scorer); test vectors are then scored in bulk.  map_indices
+runs one fit_and_score task per trial or resample, in a pool with BLAS at one
+thread.  parse_config reads either driver's config file into its dataclass.
 """
 
 from __future__ import annotations
@@ -134,47 +131,6 @@ def parse_config(cls, text: str):
     return cls(**kwargs)
 
 
-class _SpectralScorer:
-    def __init__(self, fit: FittedReference, values: np.ndarray):
-        self.fit = fit
-        self.values = values
-        self.to_z = detector.Standardizer(values, fit.curve)
-
-    def __call__(self, Y: np.ndarray):
-        raw = detector.srht_many(Y, self.fit.xbar, self.fit.spec, self.values)
-        return self.to_z(raw), raw
-
-
-class _TylerScorer:
-    def __init__(self, fit: FittedReference):
-        self.factor = cholesky(shrinkers.tyler_estimator(fit.X))
-        self.xbar = fit.xbar
-
-    def __call__(self, Y: np.ndarray):
-        raw = inverse_quadratic_forms(self.factor, Y - self.xbar[:, None])
-        return raw.copy(), raw
-
-
-class _CrossProductScorer:
-    """Two-sample cross-product statistic specialized to one test vector.
-
-    The reference self-product is unbiased by dropping its diagonal; the
-    resulting detector is score-equivalent to ||y - xbar||^2 up to a
-    per-reference constant.
-    """
-
-    def __init__(self, fit: FittedReference):
-        X = fit.X
-        n = X.shape[1]
-        G = X.T @ X
-        self.offset = (G.sum() - np.trace(G)) / (n * (n - 1))
-        self.xbar = fit.xbar
-
-    def __call__(self, Y: np.ndarray):
-        raw = np.einsum("ij,ij->j", Y, Y) - 2.0 * (self.xbar @ Y) + self.offset
-        return raw.copy(), raw
-
-
 def spectral_curve(method, fit, prior):
     """The ShrinkageCurve of one of SPECTRAL_METHODS on a fitted reference."""
     curve = fit.curve
@@ -191,14 +147,39 @@ def spectral_curve(method, fit, prior):
 
 
 def build_scorer(method, fit, prior):
-    """Construct a callable Y -> (z_scores, raw_scores) for one method."""
+    """Construct a callable Y -> (z_scores, raw_scores) for one method.
+
+    tyler (scatter fixed point) and cq have no spectral standardization, so
+    their z repeats raw.  cq is the two-sample cross-product statistic for
+    one test vector, its reference self-product unbiased by dropping the
+    diagonal: score-equivalent to ||y - xbar||^2 up to a per-fit constant."""
     if method in SPECTRAL_METHODS:
-        curve = spectral_curve(method, fit, prior)
-        return _SpectralScorer(fit, curve.values)
+        values = spectral_curve(method, fit, prior).values
+        to_z = detector.Standardizer(values, fit.curve)
+
+        def spectral(Y):
+            raw = detector.srht_many(Y, fit.xbar, fit.spec, values)
+            return to_z(raw), raw
+
+        return spectral
     if method == "tyler":
-        return _TylerScorer(fit)
+        factor = cholesky(shrinkers.tyler_estimator(fit.X))
+
+        def tyler(Y):
+            raw = inverse_quadratic_forms(factor, Y - fit.xbar[:, None])
+            return raw, raw
+
+        return tyler
     if method == "cq":
-        return _CrossProductScorer(fit)
+        n = fit.X.shape[1]
+        G = fit.X.T @ fit.X
+        offset = (G.sum() - np.trace(G)) / (n * (n - 1))
+
+        def cq(Y):
+            raw = np.einsum("ij,ij->j", Y, Y) - 2.0 * (fit.xbar @ Y) + offset
+            return raw, raw
+
+        return cq
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -158,7 +158,7 @@ class TestStandardize:
         f = np.ones(200)
         score = Standardizer(f, curve)
         assert score.mu == np.mean(f * curve.d_tilde)
-        assert score.sigma == standardization_scale(f, curve)
+        assert score.sigma == standardization_scale(f[None, :], curve)[0]
         # invariant: z reconstructs exactly from the stored fields
         assert score(42.0) == (42.0 - score.mu * 200) / (
             score.sigma * math.sqrt(200)
@@ -168,6 +168,29 @@ class TestStandardize:
         _, _, curve = identity_fit
         with pytest.raises(DegenerateStatisticError):
             Standardizer(np.zeros(200), curve)
+
+    def test_scale_of_a_stack_is_each_rows_sigma(self, identity_fit):
+        _, spec, curve = identity_fit
+        lam = spec.eigenvalues
+        F = np.stack(
+            [np.ones(200), 1.0 / lam, proposed_shrinker(curve, PriorSpec("identity")).values]
+        )
+        sigmas = [Standardizer(f, curve).sigma for f in F]
+        assert [standardization_scale(F[i : i + 1], curve)[0] for i in range(3)] == sigmas
+        # Three rows go through another BLAS product than one row, which may
+        # sum in another order: the proposed row reads 1 ulp off here.
+        np.testing.assert_array_max_ulp(standardization_scale(F, curve), sigmas, maxulp=4)
+
+    def test_one_degenerate_row_same_error_everywhere(self, identity_fit):
+        _, _, curve = identity_fit
+        F = np.stack([np.ones(200), np.zeros(200), np.full(200, 2.0)])
+        with pytest.raises(DegenerateStatisticError) as standardizer:
+            Standardizer(F[1], curve)
+        with pytest.raises(DegenerateStatisticError) as criterion:
+            criterion_batch(F, np.ones(200), curve)
+        message = str(standardizer.value)
+        assert message == str(criterion.value)
+        assert message == "standardization scale degenerate (sigma=0.0)"
 
     def test_shift_invariance_of_pipeline(self):
         rng = np.random.default_rng(6)
@@ -208,7 +231,7 @@ class TestDetectionCriterion:
         f = np.ones(200)
         u = criterion_batch(f[None, :], np.ones(200), curve)[0]
         numerator = np.mean(f * np.ones(200))
-        sigma = standardization_scale(f, curve)
+        sigma = standardization_scale(f[None, :], curve)[0]
         assert u == pytest.approx(numerator / sigma, rel=1e-15)
 
 

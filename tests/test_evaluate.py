@@ -6,12 +6,14 @@ import pytest
 from hdshrink.errors import DataError, DomainError
 from hdshrink.evaluate import (
     auc,
+    pooled_rocs,
     power_at_fpr,
     render,
     roc,
     roc_corners,
     write_summary_csv,
 )
+from hdshrink.scoring import Failure, ScoreBlock
 
 
 def pairwise_auc(h0, h1):
@@ -96,6 +98,23 @@ class TestPowerAtFpr:
         curve = roc([0.0], [1.0])
         with pytest.raises(DomainError):
             power_at_fpr(curve, 0.0)
+
+
+class TestPooledRocs:
+    def test_failed_fits_are_skipped(self):
+        labels = np.array([False, False, True, True])
+        fits = [
+            ScoreBlock(0, "a", labels, np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4)),
+            Failure(0, "b", "RegimeError", "forced"),
+            Failure(1, "a", "RegimeError", "forced"),
+            ScoreBlock(1, "a", labels, np.array([0.5, 1.5, 0.0, 4.0]), np.zeros(4)),
+            Failure(1, "b", "RegimeError", "forced"),
+        ]
+        (curve,) = pooled_rocs(fits, ("a", "b"))
+        expected = roc([0.0, 1.0, 0.5, 1.5], [2.0, 3.0, 0.0, 4.0], method="a")
+        assert curve.method == "a"
+        for field in ("fpr", "tpr", "thresholds"):
+            assert np.array_equal(getattr(curve, field), getattr(expected, field))
 
 
 class TestRender:

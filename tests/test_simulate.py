@@ -280,6 +280,20 @@ class TestRunTrials:
         assert isinstance(tyler, Failure) and tyler.method == "tyler"
         assert isinstance(cq, ScoreBlock) and cq.method == "cq"
 
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_unstandardized_z_repeats_raw_in_its_own_array(self, n_blocks):
+        cfg = ExperimentConfig(p=12, n=40, seed=15, methods=("tyler", "cq"))
+        rng = substream(15, "unstandardized")
+        X = rng.standard_normal((12, 40))
+        blocks = [rng.standard_normal((12, 5)) for _ in range(n_blocks)]
+        labels = np.arange(5 * n_blocks) >= 5
+        fits = hdshrink.scoring.fit_and_score(cfg, X, blocks, labels, trial=0)
+        assert [f.method for f in fits] == ["tyler", "cq"]
+        for block in fits:
+            assert isinstance(block, ScoreBlock)
+            assert np.array_equal(block.score_z, block.score_raw)
+            assert not np.shares_memory(block.score_z, block.score_raw)
+
     def test_h0_scores_finite_across_methods(self):
         cfg = ExperimentConfig(
             p=50,
