@@ -90,8 +90,8 @@ class Spectrum:
     """Eigen-pairs of a symmetric p x p matrix.
 
     eigenvalues are ascending; eigenvectors holds the matching orthonormal
-    columns, each with its largest-magnitude component made positive so the
-    decomposition is deterministic.
+    columns with LAPACK's signs.  Every statistic squares the projection on
+    a column, so its sign does not matter.
     """
 
     eigenvalues: np.ndarray
@@ -104,12 +104,12 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     X = validate_data_matrix(X)
     n = X.shape[1]
     centered = X - X.mean(axis=1, keepdims=True)
-    S = centered @ centered.T / (n - 1)
-    return (S + S.T) / 2.0
+    # numpy computes a @ a.T with syrk and mirrors it: exactly symmetric.
+    return centered @ centered.T / (n - 1)
 
 
 def eigh(S: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix with deterministic signs.
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The input is symmetrized as (S + S') / 2 before decomposition to absorb
     accumulated asymmetry.
@@ -123,11 +123,6 @@ def eigh(S: np.ndarray) -> Spectrum:
             f"eigensolver failed on {M.shape[0]}x{M.shape[0]} matrix "
             f"(trace={np.trace(M):.6g}, max|entry|={np.abs(M).max():.6g}): {exc}"
         ) from exc
-    # np.linalg.eigh returns ascending eigenvalues already.
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, p=S.shape[0])
 
 

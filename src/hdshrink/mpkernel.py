@@ -29,16 +29,13 @@ def semicircle_kernel(x):
     x = np.asarray(x, dtype=float)
     k = np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
     K = (-x + np.sign(x) * np.sqrt(np.clip(x * x - 4.0, 0.0, None))) / (2.0 * np.pi)
-    if k.ndim == 0:
-        return float(k), float(K)
     return k, K
 
 
 def eps_den(x):
     """Denominator floor 1e-12 * max(1, x^2) used by every shrinkage ratio."""
     x = np.asarray(x, dtype=float)
-    out = 1e-12 * np.maximum(1.0, x * x)
-    return float(out) if out.ndim == 0 else out
+    return 1e-12 * np.maximum(1.0, x * x)
 
 
 def _shrinkage_limit(x, phi, w, hw):
@@ -204,8 +201,7 @@ def pv_hilbert(f_vals, grid, xs):
         punctured[rows] = ratio.sum(axis=1)
     total = h * punctured + 2.0 * h * fpx + (0.5 - theta) * f2x
     total += fx * (_digamma(2.0 - theta) - _digamma(1.0 + theta))
-    out = (total / np.pi).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+    return (total / np.pi).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -247,8 +243,7 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
         vals = np.sqrt(np.clip((xs - a) * (b - xs), 0.0, None)) / (
             2.0 * np.pi * phi * xs
         )
-        out = np.where(inside, vals, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(inside, vals, 0.0)
 
     def Hw(x):
         x = np.asarray(x, dtype=float)
@@ -256,12 +251,10 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
             raise DomainError("the identity oracle requires x > 0")
         root = np.sqrt(np.clip((x - a) * (x - b), 0.0, None))
         root *= np.sign(x - 1.0 - phi)
-        out = (1.0 - phi - x + root) / (2.0 * np.pi * phi * x)
-        return float(out) if out.ndim == 0 else out
+        return (1.0 - phi - x + root) / (2.0 * np.pi * phi * x)
 
     def delta(x):
         x = np.asarray(x, dtype=float)
-        out = _shrinkage_limit(x, phi, w(x), Hw(x))
-        return float(out) if out.ndim == 0 else out
+        return _shrinkage_limit(x, phi, w(x), Hw(x))
 
     return DensityOracle(phi=phi, support=(a, b), w=w, Hw=Hw, delta=delta)

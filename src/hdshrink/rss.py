@@ -172,6 +172,8 @@ class RssExperimentConfig:
                 f"detrend = moving_average needs a positive odd window, "
                 f"got {self.window}"
             )
+        if self.detrend != "moving_average" and self.window is not None:
+            raise ConfigError("window is read only by detrend = moving_average")
         check_methods(self)
 
 

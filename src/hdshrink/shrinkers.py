@@ -77,7 +77,7 @@ def hbar_values(prior: PriorSpec, curve: LwCurve) -> np.ndarray:
     return np.asarray(curve.d_tilde, dtype=float)
 
 
-def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageCurve:
+def proposed_shrinker(curve: LwCurve, prior: PriorSpec) -> ShrinkageCurve:
     """Criterion-optimal shrinker values at the sample eigenvalues.
 
     With Kmat[j, i] the scaled Hilbert kernel of eigenvalue j at
@@ -90,8 +90,8 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageC
         eta_j   = (Gbar_j^2 H_j + Gbar_j g_j hbar_j) / (d_j x_j)
         f(x_i)  = xi_i - p^{-1} sum_j eta_j Kmat[j, i]
 
-    clipped at zero after the full evaluation.  An explicit hbar vector
-    overrides the prior's weights.
+    clipped at zero after the full evaluation, with hbar the prior's
+    weights (hbar_values).
     """
     lam = curve.lam
     p = curve.p
@@ -99,12 +99,7 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec, hbar=None) -> ShrinkageC
         raise RegimeError(f"proposed shrinker requires p < n, got p={p}, n={curve.n}")
     phi = curve.phi_n
     d = curve.d_tilde
-    if hbar is None:
-        hbar = hbar_values(prior, curve)
-    else:
-        hbar = np.asarray(hbar, dtype=float)
-        if hbar.shape != lam.shape:
-            raise DimensionError("hbar override length must match the spectrum")
+    hbar = hbar_values(prior, curve)
 
     denom = d * lam
     if np.any(denom <= eps_den(lam)):
@@ -130,6 +125,10 @@ def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
     pv_hilbert on ORACLE_GRID_POINTS nodes that span the support padded by
     a quarter of its width on each side: at the nodes inside the support
     for the bracket, and at xs directly.
+
+    Identity model, hbar = 1: delta = 1 on the support, the bracket's
+    transform is Re(phi^2 x m^2 - phi (1 - phi) m) with m = pi (Hw + i w),
+    and f* = 1 - phi pi Hw (g + phi pi x Hw - (1 - phi)) = 1.
     """
     xs = np.asarray(xs, dtype=float)
     a, b = oracle.support
@@ -240,7 +239,7 @@ def tyler_estimator(X, rho: float = 0.1, max_iter: int = 500) -> np.ndarray:
         S *= (1.0 - rho) * (p / n)
         S[np.diag_indices(p)] += rho
         S *= p / np.trace(S)
-        return (S + S.T) / 2.0
+        return S
 
     w = np.full(n, n / sq_norms.sum())
     sigma = scatter(w)

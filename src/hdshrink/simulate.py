@@ -177,7 +177,7 @@ def _oracle_pilot_terms(cfg: ExperimentConfig, root, Sigma_inv, pilots=20):
         Y0 = noise0 - xbar[:, None]
         D = noise1 - xbar[:, None]
         SD = Sigma_inv @ D
-        h0.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
+        h0.append(np.einsum("ij,ij->j", Y0, Sigma_inv @ Y0))
         A.append(np.einsum("ij,ij->j", D, SD))
         B.append(np.einsum("ij,ij->j", sig, SD))
         C.append(np.einsum("ij,ij->j", sig, Sigma_inv @ sig))

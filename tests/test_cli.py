@@ -288,7 +288,7 @@ class TestSimulateCommand:
     def test_degenerate_scale_recorded_as_failure(
         self, tmp_path, config_path, monkeypatch
     ):
-        def zero_shrinker(curve, prior, hbar=None):
+        def zero_shrinker(curve, prior):
             return ShrinkageCurve(values=np.zeros(curve.p), label="proposed")
 
         monkeypatch.setattr(hdshrink.shrinkers, "proposed_shrinker", zero_shrinker)
@@ -404,10 +404,18 @@ class TestRssCommand:
         assert "rss series has no active instant" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
-    @pytest.mark.parametrize("window", ["", "window = 4\n"], ids=["missing", "even"])
-    def test_bad_moving_average_window_exits_2(self, tmp_path, window):
+    @pytest.mark.parametrize(
+        "detrend,window",
+        [
+            ("moving_average", ""),
+            ("moving_average", "window = 4\n"),
+            ("channel_mean", "window = 5\n"),
+        ],
+        ids=["missing", "even", "unread"],
+    )
+    def test_bad_moving_average_window_exits_2(self, tmp_path, detrend, window):
         data, cfg = _rss_inputs(
-            tmp_path, "n = 30\nresamples = 1\ndetrend = moving_average\n" + window
+            tmp_path, f"n = 30\nresamples = 1\ndetrend = {detrend}\n" + window
         )
         code = main(
             ["rss", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]

@@ -358,8 +358,9 @@ class TestRssConfig:
             "detrend = moving_average\nwindow = 0\n",
             "detrend = moving_average\nwindow = -3\n",
             "detrend = loess\n",
+            "detrend = channel_mean\nwindow = 5\n",
         ],
-        ids=["no-window", "even", "zero", "negative", "unknown-method"],
+        ids=["no-window", "even", "zero", "negative", "unknown-method", "unread-window"],
     )
     def test_detrend_checked_at_parse_time(self, text):
         with pytest.raises(ConfigError, match="detrend"):

@@ -76,18 +76,6 @@ class TestProposedShrinker:
         fs = fstar_curve(oracle, ONES, xs)
         assert np.abs(shrink.values - fs).mean() <= 0.15
 
-    def test_zero_hbar_gives_zero_curve(self, identity_fit):
-        _, _, curve = identity_fit
-        shrink = proposed_shrinker(curve, PriorSpec("identity"), hbar=np.zeros(200))
-        assert np.all(shrink.values == 0.0)
-
-    def test_homogeneous_in_hbar(self, identity_fit):
-        _, _, curve = identity_fit
-        ones = np.ones(curve.p)
-        one = proposed_shrinker(curve, PriorSpec("identity"), hbar=ones)
-        two = proposed_shrinker(curve, PriorSpec("identity"), hbar=2.0 * ones)
-        assert np.allclose(two.values, 2.0 * one.values, rtol=1e-12)
-
     def test_scaling_equivariance_inverse_square(self):
         # Precision values of the scaled problem are 1/c^2 times the
         # original: the criterion is scale-free in f, and this formula's
@@ -140,6 +128,15 @@ class TestFstarOracle:
             1.0000004989012066, abs=1e-9
         )
         assert fstar_curve(oracle, ONES, [1.0])[0] == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("phi", [0.1, 0.2, 0.5, 0.8])
+    def test_identity_model_limit_is_one(self, phi):
+        # delta = 1 and hbar = 1 make f* exactly 1 (fstar_curve docstring);
+        # what is left is the quadrature error of pv_hilbert.
+        oracle = identity_mp_oracle(phi)
+        a, b = oracle.support
+        xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 101)
+        assert np.abs(fstar_curve(oracle, ONES, xs) - 1.0).max() <= 1e-4
 
     def test_rejects_x_outside_support(self):
         oracle = identity_mp_oracle(0.2)

@@ -366,7 +366,7 @@ def _direct_pilot_scores(cfg, sigma, gamma, pilots=20):
         sig = _signal(rng, root, cfg.prior, 1.0, m)
         Y0 = noise0 - xbar[:, None]
         Y1 = noise1 + gamma * sig - xbar[:, None]
-        h0_all.append(np.einsum("ij,ik,kj->j", Y0, Sigma_inv, Y0))
+        h0_all.append(np.einsum("ij,ij->j", Y0, Sigma_inv @ Y0))
         h1_all.append(np.einsum("ij,ik,kj->j", Y1, Sigma_inv, Y1))
     return np.concatenate(h0_all), np.concatenate(h1_all)
 
