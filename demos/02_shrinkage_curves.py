@@ -29,7 +29,7 @@ vals, vecs = np.linalg.eigh(sigma)
 root = (vecs * np.sqrt(vals)) @ vecs.T
 X = root @ substream(1, "train").uniform(-np.sqrt(3.0), np.sqrt(3.0), (p, n))
 spec = eigh(sample_covariance(X))
-curve = lw_curve(spec.eigenvalues, p, n)
+curve = lw_curve(spec.eigenvalues, n)
 prior = PriorSpec("identity")
 
 rows = {

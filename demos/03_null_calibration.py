@@ -33,7 +33,7 @@ for t in range(trials):
     rng = substream(9, "demo", t)
     X = root @ rng.standard_normal((p, n))
     spec = eigh(sample_covariance(X))
-    curve = lw_curve(spec.eigenvalues, p, n)
+    curve = lw_curve(spec.eigenvalues, n)
     shrink = proposed_shrinker(curve, prior)
     y = root @ rng.standard_normal((p, 1))
     t2 = srht_many(y, X.mean(axis=1), spec, shrink.values)[0]

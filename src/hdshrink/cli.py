@@ -12,11 +12,12 @@ import csv
 import dataclasses
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, shrinkers
 from .errors import ConfigError, DataError, HdshrinkError, NumericError, ParseError
 from .evaluate import render, roc, write_summary_csv
 from .linalg import blas_thread_control, eigh, load_matrix, single_threaded_blas
@@ -25,6 +26,7 @@ from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
 from .scoring import (
     METHODS,
+    PRIOR_METHODS,
     Failure,
     check_regime,
     fit_reference,
@@ -41,10 +43,14 @@ from .simulate import (
     write_scores_csv,
 )
 
+ORACLE_POINTS = 200  # rows of oracle.csv
 
-def _write_manifest(out, seed, threads, *extra) -> None:
-    """out/manifest: the seed, any extra (key, value) pairs, the resolved
-    worker count, the BLAS pin and the versions, one `key = value` a line."""
+
+def _write_manifest(args, seed, threads, *extra) -> None:
+    """In args.out: config_echo, a copy of args.config, and manifest: the
+    seed, any extra (key, value) pairs, the resolved worker count, the BLAS
+    pin and the versions, one `key = value` a line."""
+    shutil.copyfile(args.config, os.path.join(args.out, "config_echo"))
     entries = [
         ("seed", seed),
         *extra,
@@ -53,7 +59,7 @@ def _write_manifest(out, seed, threads, *extra) -> None:
         ("hdshrink_version", __version__),
         ("numpy_version", np.__version__),
     ]
-    with open(os.path.join(out, "manifest"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "manifest"), "w", encoding="utf-8") as fh:
         for key, value in entries:
             fh.write(f"{key} = {value}\n")
 
@@ -76,21 +82,14 @@ def _report_failures(command, fits, out) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if not args.config:
-        raise ConfigError("simulate requires --config")
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     threads = worker_count(args.threads, cfg.trials)
     sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
     gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, sigma)
     resolved = dataclasses.replace(cfg, gamma=gamma)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     os.makedirs(args.out, exist_ok=True)  # after the fits: no directory on a bad config
-    with open(args.config, "r", encoding="utf-8") as src:
-        with open(os.path.join(args.out, "config_echo"), "w", encoding="utf-8") as dst:
-            dst.write(src.read())
-    _write_manifest(args.out, cfg.seed, threads, ("gamma", f"{gamma:.17g}"))
+    _write_manifest(args, cfg.seed, threads, ("gamma", f"{gamma:.17g}"))
     _report_failures("simulate", [f for o in outputs for f in o.fits], args.out)
     write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
     print(f"simulate: wrote {args.out}/scores.csv")
@@ -98,16 +97,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rss(args) -> int:
-    if not args.config:
-        raise ConfigError("rss requires --config")
     cfg = load_rss_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     threads = worker_count(args.threads, cfg.resamples)
     series = load_rss(args.data)
     scores, curves = rss_experiment(series, cfg, threads=threads)
     os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, cfg.seed, threads)
+    _write_manifest(args, cfg.seed, threads)
     _report_failures("rss", scores.fits, args.out)
     write_rss_scores_csv(scores, os.path.join(args.out, "scores.csv"))
     render(curves, args.out)
@@ -116,6 +111,8 @@ def _cmd_rss(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
+    if args.prior and args.shrinker not in PRIOR_METHODS:
+        raise ConfigError(f"--prior is read only by {PRIOR_METHODS}")
     X = load_matrix(args.data)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "curve.csv")
@@ -132,7 +129,8 @@ def _cmd_shrink(args) -> int:
         else:
             check_regime((args.shrinker,), *X.shape)
             fit = fit_reference(X)
-            curve = spectral_curve(args.shrinker, fit, PriorSpec(mode=args.prior))
+            prior = PriorSpec(args.prior or "identity")
+            curve = spectral_curve(args.shrinker, fit, prior)
             curve.to_csv(out_path, fit.curve.lam)
     print(f"shrink: wrote {out_path}")
     return 0
@@ -179,12 +177,10 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.points < 1:
-        raise ConfigError(f"points must be at least 1, got {args.points}")
     oracle = identity_mp_oracle(args.phi)
     a, b = oracle.support
     margin = 1e-3 * (b - a)
-    xs = np.linspace(a + margin, b - margin, args.points)
+    xs = np.linspace(a + margin, b - margin, ORACLE_POINTS)
     ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
     fstar = fstar_curve(oracle, ones, xs)
     cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)
@@ -206,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def experiment(sp):
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, help="worker threads (default: cores)")
-        sp.add_argument("--config", default=None)
+        sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="out")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo synthetic experiment")
@@ -224,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shr.add_argument("--out", default="out")
     p_shr.add_argument("--data", required=True)
     p_shr.add_argument("--shrinker", choices=METHODS, default="proposed")
-    p_shr.add_argument(
-        "--prior", choices=("identity", "covariance_matched"), default="identity"
-    )
+    p_shr.add_argument("--prior", choices=shrinkers.PRIOR_MODES)
     p_shr.set_defaults(func=_cmd_shrink)
 
     p_roc = sub.add_parser("roc", help="scores CSV -> ROC, AUC, summary")
@@ -238,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="identity-model density/shrinker tables")
     p_orc.add_argument("--out", default="out")
     p_orc.add_argument("--phi", type=float, required=True)
-    p_orc.add_argument("--points", type=int, default=200)
     p_orc.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -35,7 +35,7 @@ def srht_many(Y, xbar, spec: Spectrum, curve_values) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     f = np.asarray(curve_values, dtype=float)
-    p = spec.p
+    p = spec.eigenvalues.size
     if Y.ndim != 2 or Y.shape[0] != p or xbar.shape != (p,) or f.shape != (p,):
         raise DimensionError(
             f"srht_many dims disagree: Y {Y.shape}, xbar {xbar.shape}, "

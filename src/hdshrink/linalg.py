@@ -96,7 +96,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    p: int
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
@@ -123,7 +122,7 @@ def eigh(S: np.ndarray) -> Spectrum:
             f"eigensolver failed on {M.shape[0]}x{M.shape[0]} matrix "
             f"(trace={np.trace(M):.6g}, max|entry|={np.abs(M).max():.6g}): {exc}"
         ) from exc
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, p=S.shape[0])
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -90,15 +90,14 @@ class LwCurve:
         return self.lam.shape[0]
 
 
-def lw_curve(lam, p, n) -> LwCurve:
-    """Evaluate the observable shrinkage curve at each sample eigenvalue.
+def lw_curve(lam, n) -> LwCurve:
+    """Evaluate the observable shrinkage curve at the p sample eigenvalues lam.
 
     d(x) = x / ([1 - p/n - (p/n) pi x Hw~(x)]^2 + (p/n)^2 pi^2 x^2 w~(x)^2),
     with the denominator floored at eps_den(x).
     """
     lam = _check_spectrum(lam)
-    if lam.shape[0] != p:
-        raise DimensionError(f"expected {p} eigenvalues, got {lam.shape[0]}")
+    p = lam.shape[0]
     if p >= n:
         raise RegimeError(f"shrinkage curve requires p < n, got p={p}, n={n}")
     phi = p / n
@@ -206,14 +205,16 @@ def pv_hilbert(f_vals, grid, xs):
 
 @dataclass(frozen=True)
 class DensityOracle:
-    """Closed-form density, Hilbert transform and shrinkage limit for one
-    aspect ratio phi."""
+    """Closed-form density w and Hilbert transform Hw for one aspect ratio
+    phi; delta is lw_curve's shrinkage limit at them."""
 
     phi: float
     support: tuple
     w: Callable
     Hw: Callable
-    delta: Callable
+
+    def delta(self, x):
+        return _shrinkage_limit(x, self.phi, self.w(x), self.Hw(x))
 
 
 def identity_mp_oracle(phi: float) -> DensityOracle:
@@ -227,8 +228,7 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
         Hw(x) = (1 - phi - x + sign(x - 1 - phi) sqrt(((x - a)(x - b))_+))
                 / (2 pi phi x),  x > 0.
 
-    delta is the shrinkage limit of lw_curve's formula at w and Hw; it is
-    one on the support.
+    Its delta is one on the support.
     """
     if not (0.0 < phi < 1.0):
         raise DomainError(f"aspect ratio must lie in (0, 1), got {phi}")
@@ -253,8 +253,4 @@ def identity_mp_oracle(phi: float) -> DensityOracle:
         root *= np.sign(x - 1.0 - phi)
         return (1.0 - phi - x + root) / (2.0 * np.pi * phi * x)
 
-    def delta(x):
-        x = np.asarray(x, dtype=float)
-        return _shrinkage_limit(x, phi, w(x), Hw(x))
-
-    return DensityOracle(phi=phi, support=(a, b), w=w, Hw=Hw, delta=delta)
+    return DensityOracle(phi=phi, support=(a, b), w=w, Hw=Hw)

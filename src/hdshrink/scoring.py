@@ -36,6 +36,7 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("proposed", "lw", "lappw", "tyler", "cq", "hotelling", "identity")
 SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
+PRIOR_METHODS = ("proposed", "lappw")  # the methods whose curve reads the prior
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,22 @@ def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
     X = np.asarray(X, dtype=float)
     S = sample_covariance(X)
     spec = eigh(S)
-    curve = lw_curve(spec.eigenvalues, X.shape[0], X.shape[1]) if need_curve else None
+    curve = lw_curve(spec.eigenvalues, X.shape[1]) if need_curve else None
     return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
 
 
 def check_methods(cfg) -> None:
-    """Reject an empty method list, an unknown method or a reference sample
-    n below 2, which no method can fit (ConfigError), so a bad config fails
-    at parse time instead of in every fit."""
+    """Reject an empty method list, an unknown or repeated method or a
+    reference sample n below 2, which no method can fit (ConfigError), so a
+    bad config fails at parse time instead of in every fit."""
     if not cfg.methods:
         raise ConfigError("methods must name at least one method")
     unknown = set(cfg.methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
+    repeated = {m for m in cfg.methods if cfg.methods.count(m) > 1}
+    if repeated:
+        raise ConfigError(f"repeated methods {sorted(repeated)}")
     if cfg.n < 2:
         raise ConfigError(f"n must be at least 2, got {cfg.n}")
 

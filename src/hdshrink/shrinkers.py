@@ -172,11 +172,13 @@ def lappw_select_b(curve: LwCurve, prior: PriorSpec) -> float:
     """Intercept for the ridge family maximizing the detection criterion.
 
     Zooming search over LAPPW_GRID log-spaced intercepts on
-    [mean(lam), 20 max(lam)]: each round evaluates criterion_batch at
-    LAPPW_POINTS evenly spaced grid indices of the bracket, then narrows the
-    bracket to the two neighbours of the round's argmax, until a round has
-    evaluated every index of its bracket.  Returns the best intercept seen,
-    ties going to the one found first (the smaller, within a round).
+    [mean(lam), 20 max(lam)]: each round scores LAPPW_POINTS evenly spaced
+    grid indices of the bracket in one stacked criterion_batch call, then
+    narrows the bracket to the two neighbours of the round's argmax, until a
+    round has evaluated every index of its bracket.  Returns the best
+    intercept seen, ties going to the one found first (the smaller, within a
+    round).  Another stacking of the rows can move sigma by 1 ulp, and so
+    can change b at an exact tie.
     """
     lam = curve.lam
     hbar = hbar_values(prior, curve)

@@ -77,10 +77,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutput:
-    """One trial's fits as scoring.fit_and_score returns them: per method, a
-    ScoreBlock of the H0 then the H1 tests, or the method's Failure."""
+    """One trial's fits as scoring.fit_and_score returns them, each with its
+    trial: per method, a ScoreBlock of the H0 then the H1 tests, or a Failure."""
 
-    trial_index: int
     fits: list
 
     @property
@@ -227,7 +226,7 @@ def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
     Y1 = Y1 + _signal(rng_sig, root, cfg.prior, gamma, cfg.tests_per_trial_h1)
 
     labels = np.repeat([False, True], [Y0.shape[1], Y1.shape[1]])
-    return TrialOutput(t, fit_and_score(cfg, X, (Y0, Y1), labels, t))
+    return TrialOutput(fit_and_score(cfg, X, (Y0, Y1), labels, t))
 
 
 def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):

@@ -36,5 +36,5 @@ def identity_fit():
     p, n = 200, 1000
     X = rng.standard_normal((p, n))
     spec = eigh(sample_covariance(X))
-    curve = lw_curve(spec.eigenvalues, p, n)
+    curve = lw_curve(spec.eigenvalues, n)
     return X, spec, curve

@@ -56,7 +56,7 @@ def _identity_curve(p, n, seed):
     rng = substream(seed, "acc-identity")
     X = rng.standard_normal((p, n))
     spec = eigh(sample_covariance(X))
-    return spec, lw_curve(spec.eigenvalues, p, n)
+    return spec, lw_curve(spec.eigenvalues, n)
 
 
 def test_criterion_1_identity_curve_reduction():
@@ -80,7 +80,7 @@ def test_criterion_2_convergence_rate_scaling():
             rng = substream(2000 + seed, "acc-rate", int(n))
             X = rng.standard_normal((p, n))
             spec = eigh(sample_covariance(X))
-            errs.append(np.abs(lw_curve(spec.eigenvalues, p, n).d_tilde - 1.0).mean())
+            errs.append(np.abs(lw_curve(spec.eigenvalues, n).d_tilde - 1.0).mean())
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
     elapsed = time.time() - start
@@ -137,7 +137,7 @@ def test_criterion_4_null_standardization_calibration():
     for t in range(trials):
         X = root @ rng.standard_normal((p, n))
         spec = eigh(sample_covariance(X))
-        curve = lw_curve(spec.eigenvalues, p, n)
+        curve = lw_curve(spec.eigenvalues, n)
         shrink = proposed_shrinker(curve, prior)
         y = root @ rng.standard_normal((p, 1))
         t2 = srht_many(y, X.mean(axis=1), spec, shrink.values)[0]
@@ -166,7 +166,7 @@ def test_criterion_5_variance_estimator_consistency():
         rng = substream(500 + seed, "acc-var")
         X = root @ rng.standard_normal((p, n))
         spec = eigh(sample_covariance(X))
-        curve = lw_curve(spec.eigenvalues, p, n)
+        curve = lw_curve(spec.eigenvalues, n)
         shrink = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
         oracle = float(np.einsum("ij,ji->", fS @ sigma, fS @ sigma)) / p
@@ -195,7 +195,7 @@ def test_criterion_6_criterion_optimality():
                 rng = substream(600 + seed, "acc-opt", cov_name)
                 X = root @ rng.standard_normal((p, n))
                 spec = eigh(sample_covariance(X))
-                curve = lw_curve(spec.eigenvalues, p, n)
+                curve = lw_curve(spec.eigenvalues, n)
                 hbar = np.ones(p) if mode == "identity" else curve.d_tilde
                 u_prop = criterion_batch(
                     proposed_shrinker(curve, prior).values[None, :], hbar, curve
@@ -265,7 +265,7 @@ def test_criterion_8_limit_shrinker_agreement():
             rng = substream(800 + seed, "acc-fstar", n)
             X = rng.standard_normal((p, n))
             spec = eigh(sample_covariance(X))
-            curve = lw_curve(spec.eigenvalues, p, n)
+            curve = lw_curve(spec.eigenvalues, n)
             shrink = proposed_shrinker(curve, PriorSpec("identity"))
             xs = np.clip(curve.lam, a + 1e-4 * (b - a), b - 1e-4 * (b - a))
             fs = fstar_curve(oracle, ONES, xs)
@@ -323,7 +323,7 @@ def test_criterion_9_exactness_micro_suite():
         _, K = semicircle_kernel((lam[i] - lam[j]) / width)
         total += (f[j] - f[i]) * d[j] * K / width
     expected = f[i] - np.pi / n * total
-    curve = dataclasses.replace(lw_curve(lam, 12, n), d_tilde=d)
+    curve = dataclasses.replace(lw_curve(lam, n), d_tilde=d)
     got = gamma_tilde_all(f[None, :], curve)[0, i]
     checks.append(("gamma double loop", abs(got - expected) <= 1e-12))
 

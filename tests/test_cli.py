@@ -15,7 +15,7 @@ import hdshrink.shrinkers
 from hdshrink.cli import main
 from hdshrink.errors import DegenerateStatisticError
 from hdshrink.rss import RssSeries
-from hdshrink.shrinkers import ShrinkageCurve
+from hdshrink.shrinkers import PriorSpec, ShrinkageCurve, proposed_shrinker
 from hdshrink.simulate import substream
 
 from conftest import write_rss_csv
@@ -203,8 +203,11 @@ class TestSimulateCommand:
         bad.write_text("p = 10\nwhat = 3\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_missing_config_flag_exits_2(self, tmp_path):
-        assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
+    def test_missing_config_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", BAD_NUMBERS)
     def test_bad_number_exits_2(self, tmp_path, key, value, capsys):
@@ -334,15 +337,37 @@ class TestRssCommand:
         )
         out = tmp_path / "out"
         args = ["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]
-        assert main(args + ["--seed", "9", "--threads", "5"]) == 0
+        assert main(args + ["--threads", "5"]) == 0
         manifest = (out / "manifest").read_text()
         assert [line.split(" = ")[0] for line in manifest.splitlines()] == [
             "seed", "threads", "blas_threads", "hdshrink_version", "numpy_version"
         ]
-        assert "seed = 9\n" in manifest
+        assert "seed = 3\n" in manifest
         assert f"threads = {min(os.cpu_count(), 2)}\n" in manifest  # 2 resamples
         assert f"hdshrink_version = {hdshrink.__version__}\n" in manifest
         assert f"numpy_version = {np.__version__}\n" in manifest
+
+    def test_config_echo_is_the_config_file(self, tmp_path):
+        data, cfg = _rss_inputs(
+            tmp_path, "# tiny run\nn = 30\nresamples = 2  # two\nmethods = identity\n"
+        )
+        out = tmp_path / "out"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "config_echo").read_bytes() == cfg.read_bytes()
+
+    def test_missing_config_flag_exits_2(self, tmp_path, capsys):
+        data, _ = _rss_inputs(tmp_path, "n = 30\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["rss", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 2\nmethods = cq, cq\n")
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: repeated methods ['cq']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_method_failures_reported(self, tmp_path, monkeypatch, capsys):
         _fail_method(monkeypatch, "cq")
@@ -473,6 +498,18 @@ class TestRssCommand:
         assert code == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "rss"])
+def test_seed_flag_rejected(tmp_path, config_path, capsys, command):
+    # The config's seed key is the one place the seed is set.
+    args = [command, "--config", str(config_path), "--out", str(tmp_path), "--seed", "9"]
+    if command == "rss":
+        args += ["--data", "rss.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["simulate", "rss"])
 def test_threads_below_one_exits_2(
@@ -536,6 +573,28 @@ class TestShrinkCommand:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_prior_sets_the_proposed_curve(self, tmp_path, data_csv):
+        values = {}
+        for prior in ("identity", "covariance_matched"):
+            out = tmp_path / prior
+            args = ["shrink", "--data", str(data_csv), "--shrinker", "proposed"]
+            assert main(args + ["--prior", prior, "--out", str(out)]) == 0
+            rows = (out / "curve.csv").read_text().splitlines()[1:]
+            values[prior] = [row.split(",")[1] for row in rows]
+        with hdshrink.linalg.single_threaded_blas():
+            fit = hdshrink.scoring.fit_reference(np.loadtxt(data_csv, delimiter=","))
+            curve = proposed_shrinker(fit.curve, PriorSpec("covariance_matched"))
+        assert values["covariance_matched"] == [f"{v:.17g}" for v in curve.values]
+        assert values["covariance_matched"] != values["identity"]
+
+    def test_prior_with_another_shrinker_exits_2(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "o"
+        args = ["shrink", "--data", str(data_csv), "--shrinker", "hotelling"]
+        assert main(args + ["--prior", "identity", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --prior is read only by ('proposed', 'lappw')" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["proposed", "tyler"])
     def test_bytes_independent_of_blas_threads(self, tmp_path, method):
@@ -605,21 +664,14 @@ class TestRocCommand:
 class TestOracleCommand:
     def test_table_near_limit_values(self, tmp_path):
         out = tmp_path / "oracle"
-        assert main(["oracle", "--phi", "0.2", "--points", "40", "--out", str(out)]) == 0
+        assert main(["oracle", "--phi", "0.2", "--out", str(out)]) == 0
         rows = (out / "oracle.csv").read_text().splitlines()
         assert rows[0] == "x,w,hw,delta,fstar"
+        assert len(rows) == 1 + 200
         body = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         assert np.allclose(body[:, 3], 1.0)  # delta == 1 on support
         interior = body[(body[:, 0] > 0.5) & (body[:, 0] < 1.9)]
         assert np.abs(interior[:, 4] - 1.0).max() <= 0.05  # fstar near 1
-
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_points_below_1_exits_2(self, tmp_path, points, capsys):
-        out = tmp_path / "o"
-        assert main(["oracle", "--phi", "0.2", "--points", points, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: points must be at least 1, got {points}" in err
-        assert not out.exists()
 
     def test_bad_phi_exits_3(self, tmp_path):
         assert main(["oracle", "--phi", "1.5", "--out", str(tmp_path / "o")]) == 3

@@ -104,7 +104,7 @@ class TestGammaTilde:
     def test_large_n_limit_recovers_f(self):
         lam = np.linspace(0.5, 2.0, 10)
         f = lam**2
-        curve = dataclasses.replace(lw_curve(lam, 10, 10**9), d_tilde=np.ones(10))
+        curve = dataclasses.replace(lw_curve(lam, 10**9), d_tilde=np.ones(10))
         vals = gamma_tilde_all(f[None, :], curve)[0]
         assert np.abs(vals - f).max() <= 1e-5
 
@@ -141,7 +141,7 @@ class TestSigmaTilde2:
         _, spec, curve = identity_fit
         shrink = proposed_shrinker(curve, PriorSpec("identity"))
         fS = (spec.eigenvectors * shrink.values) @ spec.eigenvectors.T
-        oracle = np.trace(fS @ fS) / spec.p  # Sigma = I
+        oracle = np.trace(fS @ fS) / spec.eigenvalues.size  # Sigma = I
         got = sigma_tilde2_batch(shrink.values[None, :], curve)[0]
         assert got == pytest.approx(oracle, rel=0.15)
 
@@ -201,7 +201,7 @@ class TestStandardize:
 
         def score(Xd, yd):
             spec = eigh(sample_covariance(Xd))
-            curve = lw_curve(spec.eigenvalues, p, n)
+            curve = lw_curve(spec.eigenvalues, n)
             f = proposed_shrinker(curve, PriorSpec("identity"))
             t2 = srht_many(yd[:, None], Xd.mean(axis=1), spec, f.values)[0]
             return Standardizer(f.values, curve)(t2)
@@ -246,7 +246,7 @@ class TestSeparationSurrogate:
         for _ in range(trials):
             X = rng.standard_normal((p, n))
             spec = eigh(sample_covariance(X))
-            curve = lw_curve(spec.eigenvalues, p, n)
+            curve = lw_curve(spec.eigenvalues, n)
             f = proposed_shrinker(curve, PriorSpec("identity"))
             u = criterion_batch(f.values[None, :], np.ones(p), curve)[0]
             xbar = X.mean(axis=1)

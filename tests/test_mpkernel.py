@@ -124,7 +124,7 @@ class TestLwCurve:
 
     def test_single_eigenvalue_formula(self):
         # p=1, lam=1, n=1000: denominator (1 - 1/1000)^2 + (pi/1000 * 10/pi)^2
-        curve = lw_curve(np.array([1.0]), 1, 1000)
+        curve = lw_curve(np.array([1.0]), 1000)
         expected = 1.0 / ((1 - 1e-3) ** 2 + (1e-3 * np.pi * 10 / np.pi) ** 2)
         assert curve.d_tilde[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.00190, abs=5e-5)
@@ -132,12 +132,12 @@ class TestLwCurve:
     def test_strictly_positive(self):
         rng = np.random.default_rng(3)
         lam = np.sort(rng.uniform(0.1, 5.0, 40))
-        curve = lw_curve(lam, 40, 200)
+        curve = lw_curve(lam, 200)
         assert np.all(curve.d_tilde > 0)
 
     def test_requires_p_below_n(self):
         with pytest.raises(RegimeError):
-            lw_curve(np.ones(10), 10, 10)
+            lw_curve(np.ones(10), 10)
 
     @pytest.mark.parametrize("p,n", [(200, 300), (800, 1200)])
     def test_one_evaluation_matches_three(self, p, n):
@@ -158,7 +158,7 @@ class TestLwCurve:
         d = lam / np.maximum(den, eps_den(lam))
         width = n ** (-1.0 / 3.0) * lam[:, None]
         _, K = semicircle_kernel((lam[None, :] - lam[:, None]) / width)
-        curve = lw_curve(lam, p, n)
+        curve = lw_curve(lam, n)
         assert np.array_equal(curve.w_tilde, w)
         assert np.array_equal(curve.hw_tilde, hw)
         assert np.array_equal(curve.d_tilde, d)
@@ -167,17 +167,17 @@ class TestLwCurve:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
         lam = rng.uniform(0.5, 2.0, 15)
-        c1 = lw_curve(lam, 15, 100)
+        c1 = lw_curve(lam, 100)
         perm = rng.permutation(15)
-        c2 = lw_curve(lam[perm], 15, 100)
+        c2 = lw_curve(lam[perm], 100)
         assert np.allclose(c1.d_tilde[perm], c2.d_tilde)
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(5)
         lam = rng.uniform(0.5, 2.0, 20)
         c = 3.7
-        base = lw_curve(lam, 20, 150)
-        scaled = lw_curve(c * lam, 20, 150)
+        base = lw_curve(lam, 150)
+        scaled = lw_curve(c * lam, 150)
         assert np.allclose(scaled.d_tilde, c * base.d_tilde, rtol=1e-12)
 
 

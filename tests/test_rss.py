@@ -350,6 +350,10 @@ class TestRssConfig:
         with pytest.raises(ConfigError, match="at least one method"):
             parse_config(RssExperimentConfig, "n = 10\nmethods = ,\n")
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match=r"repeated methods \['cq', 'lw'\]"):
+            parse_config(RssExperimentConfig, "n = 10\nmethods = lw, cq, lw, cq\n")
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -83,8 +83,8 @@ class TestProposedShrinker:
         rng = np.random.default_rng(0)
         lam = np.sort(rng.uniform(0.5, 2.0, 50))
         c = 2.5
-        base = proposed_shrinker(lw_curve(lam, 50, 400), PriorSpec("identity"))
-        scaled = proposed_shrinker(lw_curve(c * lam, 50, 400), PriorSpec("identity"))
+        base = proposed_shrinker(lw_curve(lam, 400), PriorSpec("identity"))
+        scaled = proposed_shrinker(lw_curve(c * lam, 400), PriorSpec("identity"))
         assert np.allclose(scaled.values, base.values / c**2, rtol=1e-10, atol=1e-12)
 
     def test_nonnegative_and_bounded(self, identity_fit):
@@ -108,7 +108,7 @@ class TestProposedShrinker:
 
     def test_requires_p_below_n(self):
         lam = np.linspace(0.5, 1.5, 20)
-        curve = lw_curve(lam, 20, 100)
+        curve = lw_curve(lam, 100)
         bad = dataclasses.replace(curve, phi_n=2.0, n=10)
         with pytest.raises(RegimeError):
             proposed_shrinker(bad, PriorSpec("identity"))
@@ -198,7 +198,7 @@ def _ridge_fit(p, n, kappa, dist, seed):
     """Shrinkage curve of one reference sample drawn from make_covariance."""
     root = _spd_root(make_covariance(p, kappa, seed))
     X = _draw(substream(seed, "ridge-fit"), root, dist, n)
-    return lw_curve(eigh(sample_covariance(X)).eigenvalues, p, n)
+    return lw_curve(eigh(sample_covariance(X)).eigenvalues, n)
 
 
 def _lappw_direct_reference(curve, prior, grid_points=10_000):
@@ -276,7 +276,7 @@ class TestLappwSelectB:
         # elsewhere: the two ends of the range, which the first round both
         # evaluates, or every grid point, a constant criterion.  Either way
         # the search keeps the lower end, mean(lam).
-        curve = lw_curve(np.full(60, 2.0), 60, 200)
+        curve = lw_curve(np.full(60, 2.0), 200)
         tied = np.geomspace(2.0, 40.0, LAPPW_GRID)[ties]
 
         def tied_criterion(F, hbar, curve):

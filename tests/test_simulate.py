@@ -329,14 +329,12 @@ def _reference_scores_lines(outputs):
     """scores.csv lines (with header) as formatted one row at a time, the
     H0 tests then the H1 tests of each method."""
     lines = ["trial,method,label_h1,score_z,score_raw"]
-    for out in outputs:
+    for trial, out in enumerate(outputs):
         for block in out.fits:
             for h in (0, 1):
                 mine = block.label_h1 == h
                 for z, raw in zip(block.score_z[mine], block.score_raw[mine]):
-                    lines.append(
-                        f"{out.trial_index},{block.method},{h},{z:.17g},{raw:.17g}"
-                    )
+                    lines.append(f"{trial},{block.method},{h},{z:.17g},{raw:.17g}")
     return lines
 
 
@@ -505,6 +503,15 @@ class TestConfigFile:
         path = tmp_path / "cfg"
         path.write_text("p = 44\nn = 70\nmethods =\n")
         with pytest.raises(ConfigError, match="at least one method"):
+            load_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_method_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("p = 44\nn = 70\nmethods = lw, lw, identity\n")
+        with pytest.raises(ConfigError, match=r"repeated methods \['lw'\]"):
             load_config(path)
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
