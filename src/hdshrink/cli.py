@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, rss, shrink, roc, oracle.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numeric error.
+2 config error (argparse's usage errors too), 3 data error or a path that
+cannot be opened, 4 numeric error.  Output is written after every input check.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__, shrinkers
-from .errors import ConfigError, DataError, HdshrinkError, NumericError, ParseError
+from .errors import ConfigError, DataError, NumericError, ParseError
 from .evaluate import render, roc, write_summary_csv
 from .linalg import blas_thread_control, eigh, load_matrix, single_threaded_blas
 from .mpkernel import identity_mp_oracle
 from .rss import load_rss, rss_experiment, write_rss_scores_csv
 from .rss_config import load_rss_config
 from .scoring import (
-    METHODS,
     PRIOR_METHODS,
+    SPECTRAL_METHODS,
     Failure,
     check_regime,
     fit_reference,
@@ -114,55 +115,46 @@ def _cmd_shrink(args) -> int:
     if args.prior and args.shrinker not in PRIOR_METHODS:
         raise ConfigError(f"--prior is read only by {PRIOR_METHODS}")
     X = load_matrix(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "curve.csv")
-    if args.shrinker == "cq":
-        raise ConfigError(
-            "cq is a cross-product statistic, not a spectral curve; "
-            "use it via `simulate` or `rss`"
-        )
     with single_threaded_blas():  # as in both drivers: bytes independent of BLAS
         if args.shrinker == "tyler":
-            spec = eigh(tyler_estimator(X))
-            curve = ShrinkageCurve(values=1.0 / spec.eigenvalues, label="tyler")
-            curve.to_csv(out_path, spec.eigenvalues)
+            lam = eigh(tyler_estimator(X)).eigenvalues
+            curve = ShrinkageCurve(values=1.0 / lam, label="tyler")
         else:
             check_regime((args.shrinker,), *X.shape)
             fit = fit_reference(X)
             prior = PriorSpec(args.prior or "identity")
-            curve = spectral_curve(args.shrinker, fit, prior)
-            curve.to_csv(out_path, fit.curve.lam)
+            lam, curve = fit.curve.lam, spectral_curve(args.shrinker, fit, prior)
+    os.makedirs(args.out, exist_ok=True)  # after the fit: no directory on an error
+    out_path = os.path.join(args.out, "curve.csv")
+    curve.to_csv(out_path, lam)
     print(f"shrink: wrote {out_path}")
     return 0
 
 
 def _cmd_roc(args) -> int:
     by_method = {}
-    try:
-        with open(args.scores, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"method", "label_h1", "score_z"}
-            if not needed.issubset(reader.fieldnames or ()):
-                raise DataError(
-                    f"scores file must have columns {sorted(needed)}, "
-                    f"got {reader.fieldnames}"
-                )
-            for row in reader:
-                line, label, score = reader.line_num, row["label_h1"], row["score_z"]
-                if None in row or None in row.values():
-                    width = len(reader.fieldnames)
-                    raise ParseError(f"expected {width} fields", line=line)
-                if label not in ("0", "1"):
-                    raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
-                try:
-                    z = float(score)
-                except ValueError:
-                    z = math.nan
-                if not math.isfinite(z):
-                    raise ParseError(f"score_z {score!r} is not finite", line=line)
-                by_method.setdefault(row["method"], ([], []))[int(label)].append(z)
-    except OSError as exc:
-        raise DataError(f"cannot read scores file: {exc}") from exc
+    with open(args.scores, "r", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        needed = {"method", "label_h1", "score_z"}
+        if not needed.issubset(reader.fieldnames or ()):
+            raise DataError(
+                f"scores file must have columns {sorted(needed)}, "
+                f"got {reader.fieldnames}"
+            )
+        for row in reader:
+            line, label, score = reader.line_num, row["label_h1"], row["score_z"]
+            if None in row or None in row.values():
+                width = len(reader.fieldnames)
+                raise ParseError(f"expected {width} fields", line=line)
+            if label not in ("0", "1"):
+                raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
+            try:
+                z = float(score)
+            except ValueError:
+                z = math.nan
+            if not math.isfinite(z):
+                raise ParseError(f"score_z {score!r} is not finite", line=line)
+            by_method.setdefault(row["method"], ([], []))[int(label)].append(z)
     if not by_method:
         raise DataError("scores file contains no rows")
     curves = [
@@ -218,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shr = sub.add_parser("shrink", help="dump a shrinkage curve for a data CSV")
     p_shr.add_argument("--out", default="out")
     p_shr.add_argument("--data", required=True)
-    p_shr.add_argument("--shrinker", choices=METHODS, default="proposed")
+    curves = (*SPECTRAL_METHODS, "tyler")  # the methods that have a curve
+    p_shr.add_argument("--shrinker", choices=curves, default="proposed")
     p_shr.add_argument("--prior", choices=shrinkers.PRIOR_MODES)
     p_shr.set_defaults(func=_cmd_shrink)
 
@@ -236,25 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # every path opened is one the user passed
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except HdshrinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

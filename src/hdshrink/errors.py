@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+The CLI maps these onto exit codes, one rule each: ConfigError -> 2,
+DataError or an OSError on a path the user passed -> 3, NumericError -> 4.
+Nothing raises HdshrinkError itself; it lets library callers catch them all.
 """
 
 

@@ -147,7 +147,9 @@ def spectral_curve(method, fit, prior):
         return shrinkers.ridge_shrinker(curve.lam, b, label="lappw")
     if method == "hotelling":
         return shrinkers.hotelling_shrinker(curve.lam)
-    return shrinkers.identity_shrinker(curve.p)
+    if method == "identity":
+        return shrinkers.identity_shrinker(curve.p)
+    raise ConfigError(f"no spectral curve for {method!r}, only for {SPECTRAL_METHODS}")
 
 
 def build_scorer(method, fit, prior):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .evaluate import power_at_fpr, roc
-from .linalg import single_threaded_blas
+from .linalg import eigh, single_threaded_blas
 from .scoring import (
     METHODS,
     Failure,
@@ -132,8 +132,8 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
 
 
 def _spd_root(Sigma: np.ndarray) -> np.ndarray:
-    Sigma = np.asarray(Sigma, dtype=float)
-    vals, vecs = np.linalg.eigh((Sigma + Sigma.T) / 2.0)
+    spec = eigh(Sigma)
+    vals, vecs = spec.eigenvalues, spec.eigenvectors
     if vals.min() <= 0:
         raise DataError(
             f"covariance is not positive definite (min eigenvalue {vals.min():.3e})"

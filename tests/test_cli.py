@@ -532,6 +532,25 @@ def test_threads_below_one_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["shrink", "rss", "simulate", "roc"])
+def test_directory_as_input_exits_3(tmp_path, capsys, command):
+    # Each command's input path names a directory: a data error, not a traceback.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    rss_cfg = tmp_path / "rss.cfg"
+    rss_cfg.write_text("n = 30\n")
+    out = ["--out", str(tmp_path / "o")]
+    args = {
+        "shrink": ["--data", str(folder)],
+        "rss": ["--data", str(folder), "--config", str(rss_cfg)],
+        "simulate": ["--config", str(folder)],
+        "roc": ["--scores", str(folder)],
+    }[command]
+    assert main([command, *args, *out]) == 3
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestShrinkCommand:
     @pytest.mark.parametrize(
         "method", ["proposed", "lw", "lappw", "hotelling", "identity", "tyler"]
@@ -556,6 +575,7 @@ class TestShrinkCommand:
         )
         assert code == 2
         assert "spectral methods require p < n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("shape", [(40, 30), (40, 40)])
     def test_tyler_with_p_at_least_n(self, tmp_path, shape):
@@ -567,12 +587,14 @@ class TestShrinkCommand:
         assert code == 0
         assert len((out / "curve.csv").read_text().splitlines()) == shape[0] + 1
 
-    def test_cq_rejected_as_config_error(self, tmp_path, data_csv):
-        code = main(
-            ["shrink", "--data", str(data_csv), "--shrinker", "cq",
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
+    def test_cq_rejected_as_config_error(self, tmp_path, data_csv, capsys):
+        # cq is a cross-product statistic with no curve: argparse rejects it.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["shrink", "--data", str(data_csv), "--shrinker", "cq", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cq'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prior_sets_the_proposed_curve(self, tmp_path, data_csv):
         values = {}

@@ -112,6 +112,13 @@ class TestSampleTraining:
         with pytest.raises(DataError):
             _spd_root(bad)
 
+    def test_asymmetric_covariance_rejected(self):
+        # Asymmetry beyond relative 1e-12 is an input error, not averaged away.
+        skewed = np.eye(3)
+        skewed[0, 1] = 1e-9
+        with pytest.raises(DataError, match="not symmetric"):
+            _spd_root(skewed)
+
 
 class TestSampleTest:
     def test_signal_norm_exact(self):
@@ -318,6 +325,12 @@ class TestRunTrials:
     def test_spectral_methods_require_p_below_n(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(p=100, n=80, methods=("proposed",))
+
+    @pytest.mark.parametrize("method", ["tyler", "cq", "bogus"])
+    def test_spectral_curve_rejects_a_method_without_one(self, method):
+        fit = hdshrink.scoring.fit_reference(substream(16, "curve").standard_normal((12, 40)))
+        with pytest.raises(ConfigError, match="no spectral curve for"):
+            hdshrink.scoring.spectral_curve(method, fit, PriorSpec())
 
 
 def _scores_csv_bytes(outputs, path):
