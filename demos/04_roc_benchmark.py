@@ -30,5 +30,5 @@ print(f"calibrated signal scale gamma = {gamma:.3f}")
 
 outputs = run_trials(dataclasses.replace(cfg, gamma=gamma), Sigma=sigma, threads=4)
 fits = [f for o in outputs for f in o.fits]
-for curve in pooled_rocs(fits, cfg.methods):
+for curve in pooled_rocs(fits):
     print(f"{curve.method:>10}: AUC = {auc(curve):.4f}")

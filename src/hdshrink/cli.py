@@ -20,56 +20,53 @@ import numpy as np
 
 from . import __version__, shrinkers
 from .errors import ConfigError, DataError, NumericError, ParseError
-from .evaluate import render, roc, write_summary_csv
+from .evaluate import pooled_rocs, render, write_summary_csv
 from .linalg import blas_thread_control, eigh, load_matrix, single_threaded_blas
 from .mpkernel import identity_mp_oracle
-from .rss import load_rss, rss_experiment, write_rss_scores_csv
+from .rss import load_rss, rss_experiment
 from .rss_config import load_rss_config
 from .scoring import (
     PRIOR_METHODS,
     SPECTRAL_METHODS,
     Failure,
+    ScoreBlock,
     check_regime,
     fit_reference,
     spectral_curve,
     worker_count,
     write_errors_csv,
+    write_score_blocks,
 )
 from .shrinkers import PriorSpec, ShrinkageCurve, fstar_curve, tyler_estimator
-from .simulate import (
-    calibrate_gamma,
-    load_config,
-    make_covariance,
-    run_trials,
-    write_scores_csv,
-)
+from .simulate import calibrate_gamma, load_config, make_covariance, run_trials
 
 ORACLE_POINTS = 200  # rows of oracle.csv
 
 
-def _write_manifest(args, seed, threads, *extra) -> None:
-    """In args.out: config_echo, a copy of args.config, and manifest: the
-    seed, any extra (key, value) pairs, the resolved worker count, the BLAS
-    pin and the versions, one `key = value` a line."""
+def _write_rocs(command, curves, out, log_fpr=False) -> None:
+    """The ROC files in out: roc.csv and roc.svg (render), summary.csv."""
+    render(curves, out, log_fpr=log_fpr)
+    write_summary_csv(curves, os.path.join(out, "summary.csv"))
+    print(f"{command}: wrote {out}")
+
+
+def _write_run(command, args, manifest, fits, curves) -> None:
+    """Every file of a simulate or rss run, in args.out, after its last check:
+    config_echo (a copy of args.config); manifest (the pairs of manifest, the
+    BLAS pin, the versions); errors.csv, with per-method failure counts
+    printed (a NumericError when no fit scored); scores.csv; the ROC files."""
+    os.makedirs(args.out, exist_ok=True)
     shutil.copyfile(args.config, os.path.join(args.out, "config_echo"))
     entries = [
-        ("seed", seed),
-        *extra,
-        ("threads", threads),
+        *manifest,
         ("blas_threads", 1 if blas_thread_control() else "unpinned"),
         ("hdshrink_version", __version__),
         ("numpy_version", np.__version__),
     ]
     with open(os.path.join(args.out, "manifest"), "w", encoding="utf-8") as fh:
-        for key, value in entries:
-            fh.write(f"{key} = {value}\n")
-
-
-def _report_failures(command, fits, out) -> None:
-    """Write errors.csv and print per-method failure counts, one entry per
-    failed fit of fits; a NumericError when no fit scored."""
+        fh.writelines(f"{key} = {value}\n" for key, value in entries)
     failures = [f for f in fits if isinstance(f, Failure)]
-    write_errors_csv(failures, os.path.join(out, "errors.csv"))
+    write_errors_csv(failures, os.path.join(args.out, "errors.csv"))
     counts = collections.Counter(f.method for f in failures)
     if counts:
         detail = ", ".join(f"{m}={k}" for m, k in counts.items())
@@ -80,6 +77,8 @@ def _report_failures(command, fits, out) -> None:
             "every method failed: "
             + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
         )
+    write_score_blocks(fits, os.path.join(args.out, "scores.csv"))
+    _write_rocs(command, curves, args.out)
 
 
 def _cmd_simulate(args) -> int:
@@ -89,11 +88,9 @@ def _cmd_simulate(args) -> int:
     gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, sigma)
     resolved = dataclasses.replace(cfg, gamma=gamma)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
-    os.makedirs(args.out, exist_ok=True)  # after the fits: no directory on a bad config
-    _write_manifest(args, cfg.seed, threads, ("gamma", f"{gamma:.17g}"))
-    _report_failures("simulate", [f for o in outputs for f in o.fits], args.out)
-    write_scores_csv(outputs, os.path.join(args.out, "scores.csv"))
-    print(f"simulate: wrote {args.out}/scores.csv")
+    fits = [f for o in outputs for f in o.fits]
+    manifest = [("seed", cfg.seed), ("gamma", f"{gamma:.17g}"), ("threads", threads)]
+    _write_run("simulate", args, manifest, fits, pooled_rocs(fits))
     return 0
 
 
@@ -102,12 +99,8 @@ def _cmd_rss(args) -> int:
     threads = worker_count(args.threads, cfg.resamples)
     series = load_rss(args.data)
     scores, curves = rss_experiment(series, cfg, threads=threads)
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args, cfg.seed, threads)
-    _report_failures("rss", scores.fits, args.out)
-    write_rss_scores_csv(scores, os.path.join(args.out, "scores.csv"))
-    render(curves, args.out)
-    print(f"rss: wrote {args.out}/scores.csv and {args.out}/roc.csv")
+    manifest = [("seed", cfg.seed), ("threads", threads)]
+    _write_run("rss", args, manifest, scores.fits, curves)
     return 0
 
 
@@ -157,14 +150,11 @@ def _cmd_roc(args) -> int:
             by_method.setdefault(row["method"], ([], []))[int(label)].append(z)
     if not by_method:
         raise DataError("scores file contains no rows")
-    curves = [
-        roc(np.array(h0), np.array(h1), method=m)
-        for m, (h0, h1) in sorted(by_method.items())
-    ]
-    os.makedirs(args.out, exist_ok=True)
-    render(curves, args.out, log_fpr=args.log_fpr)
-    write_summary_csv(curves, os.path.join(args.out, "summary.csv"))
-    print(f"roc: wrote {args.out}/roc.csv, roc.svg, summary.csv")
+    blocks = []  # one per method: its H0 scores, then its H1 scores
+    for m, (h0, h1) in by_method.items():
+        labels = np.repeat([False, True], [len(h0), len(h1)])
+        blocks.append(ScoreBlock(0, m, labels, np.array(h0 + h1), None))
+    _write_rocs("roc", pooled_rocs(blocks), args.out, log_fpr=args.log_fpr)
     return 0
 
 

@@ -36,7 +36,7 @@ def roc(h0_scores, h1_scores, method: str = "") -> RocCurve:
     h0 = np.sort(np.asarray(h0_scores, dtype=float))
     h1 = np.sort(np.asarray(h1_scores, dtype=float))
     if h0.size == 0 or h1.size == 0:
-        raise DataError("roc needs nonempty score lists for both hypotheses")
+        raise DataError(f"roc of method {method!r} needs scores of both hypotheses")
     pooled = np.unique(np.concatenate([h0, h1]))
     thresholds = np.concatenate([[np.inf], pooled[::-1], [-np.inf]])
     # fraction of scores >= t, via count of scores < t
@@ -45,18 +45,18 @@ def roc(h0_scores, h1_scores, method: str = "") -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, method=method)
 
 
-def pooled_rocs(fits, methods) -> list:
-    """One ROC per method, of the score_z of its ScoreBlocks among fits pooled
-    (label_h1 False rows as H0, True as H1; a Failure has no rows); a method
-    lacking either kind has none."""
-    pooled = {m: ([], []) for m in methods}
+def pooled_rocs(fits) -> list:
+    """One ROC per method that scored, sorted by method name, of the score_z
+    of its ScoreBlocks among fits pooled (label_h1 False rows as H0, True as
+    H1; a Failure has no rows).  The one method order of every ROC file."""
+    pooled = {}
     for b in (f for f in fits if not isinstance(f, Failure)):
-        pooled[b.method][0].append(b.score_z[~b.label_h1])
-        pooled[b.method][1].append(b.score_z[b.label_h1])
+        h0, h1 = pooled.setdefault(b.method, ([], []))
+        h0.append(b.score_z[~b.label_h1])
+        h1.append(b.score_z[b.label_h1])
     return [
         roc(np.concatenate(h0), np.concatenate(h1), method=m)
-        for m, (h0, h1) in pooled.items()
-        if sum(map(np.size, h0)) and sum(map(np.size, h1))
+        for m, (h0, h1) in sorted(pooled.items())
     ]
 
 

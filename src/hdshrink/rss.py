@@ -216,9 +216,10 @@ def rss_experiment(
     all remaining instants, tagged with ground-truth activity.  Resamples
     run through scoring.map_indices (threads=None: one worker per core).
     Returns (scores, curves): an RssScores with one ScoreBlock or Failure
-    per (resample, method), and one pooled ROC per method.  A spectral
-    method with n at most the channel count is a RegimeError, and a series
-    with no active instant a DataError, both raised before any fit.
+    per (resample, method), and evaluate.pooled_rocs of its fits (kept for
+    bench/run.py: once it pools the fits itself, return the scores alone).
+    A spectral method with n at most the channel count is a RegimeError, and
+    a series with no active instant a DataError, both raised before any fit.
     """
     check_regime(cfg.methods, series.p, cfg.n)
     if not series.activity.any():
@@ -240,9 +241,10 @@ def rss_experiment(
         return fit_and_score(cfg, ref_columns, (test_columns,), work.activity[test], r)
 
     fits = [f for r in map_indices(resample, cfg.resamples, threads) for f in r]
-    return RssScores(fits), pooled_rocs(fits, cfg.methods)
+    return RssScores(fits), pooled_rocs(fits)
 
 
 def write_rss_scores_csv(scores: RssScores, path) -> None:
-    """scores.csv of an rss run; failed fits have no rows (see errors.csv)."""
+    """scores.csv of an rss run, for bench/run.py alone: once it calls
+    scoring.write_score_blocks, as the CLI does, delete this."""
     write_score_blocks(scores.fits, path)

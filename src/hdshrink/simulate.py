@@ -248,7 +248,8 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
 
 
 def write_scores_csv(outputs, path) -> None:
-    """scores.csv of the trials' fits; a failed fit has no rows."""
+    """scores.csv of the trials' fits, for bench/run.py alone: once it calls
+    scoring.write_score_blocks, as the CLI does, delete this."""
     write_score_blocks((f for out in outputs for f in out.fits), path)
 
 

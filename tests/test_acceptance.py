@@ -234,7 +234,7 @@ def test_criterion_7_roc_ordering():
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
         outputs = run_trials(cfg, Sigma=sigma, threads=8)
-        curves = pooled_rocs([f for o in outputs for f in o.fits], cfg.methods)
+        curves = pooled_rocs([f for o in outputs for f in o.fits])
         results[kappa] = {c.method: auc(c) for c in curves}
     ok = all(set(aucs) == set(cfg.methods) for aucs in results.values())  # none failed
     details = []

@@ -164,9 +164,10 @@ class TestSimulateCommand:
         main(
             ["simulate", "--config", str(config_path), "--out", str(c), "--threads", "8"]
         )
-        ref = (a / "scores.csv").read_bytes()
-        assert (b / "scores.csv").read_bytes() == ref
-        assert (c / "scores.csv").read_bytes() == ref
+        for name in ("scores.csv", "roc.csv", "summary.csv"):
+            ref = (a / name).read_bytes()
+            assert (b / name).read_bytes() == ref
+            assert (c / name).read_bytes() == ref
 
     def test_bytes_independent_of_blas_env_and_threads(self, tmp_path):
         cfg = tmp_path / "experiment.cfg"
@@ -184,7 +185,8 @@ class TestSimulateCommand:
                     line for line in (out / "manifest").read_text().splitlines()
                     if line.startswith("gamma = ")
                 ]
-                results[blas, threads] = ((out / "scores.csv").read_bytes(), gamma)
+                files = ("scores.csv", "roc.csv", "summary.csv")
+                results[blas, threads] = ([(out / f).read_bytes() for f in files], gamma)
         reference = results[None, "1"]
         assert [k for k, v in results.items() if v != reference] == []
 
@@ -402,7 +404,8 @@ class TestRssCommand:
                     env=_subprocess_env(blas), check=True, capture_output=True,
                 )
                 results[blas, threads] = tuple(
-                    (out / name).read_bytes() for name in ("scores.csv", "roc.csv")
+                    (out / name).read_bytes()
+                    for name in ("scores.csv", "roc.csv", "summary.csv")
                 )
         reference = results[None, "1"]
         assert [k for k, v in results.items() if v != reference] == []
@@ -670,6 +673,17 @@ class TestRocCommand:
         assert code == 3
         assert "data error: line 3: " in capsys.readouterr().err
 
+    def test_method_lacking_a_hypothesis_exits_3_naming_it(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "trial,method,label_h1,score_z,score_raw\n0,lw,0,0.5,0.5\n"
+            "0,lw,1,1.5,1.5\n0,proposed,0,0.5,0.5\n"
+        )
+        out = tmp_path / "o"
+        assert main(["roc", "--scores", str(scores), "--out", str(out)]) == 3
+        assert "data error: roc of method 'proposed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scores_exits_3(self, tmp_path):
         code = main(
             ["roc", "--scores", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]
@@ -681,6 +695,23 @@ class TestRocCommand:
             main(["roc", "--scores", "s.csv", "--out", str(tmp_path), "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "rss"])
+def test_run_roc_files_equal_the_roc_command(tmp_path, config_path, command):
+    # Config order (identity before cq for rss) is not name order: every ROC
+    # file lists methods sorted by name, as `roc` does.
+    run, rocs = tmp_path / "run", tmp_path / "rocs"
+    if command == "simulate":
+        args = ["simulate", "--config", str(config_path)]
+    else:
+        config = "n = 30\nresamples = 2\nmethods = identity, cq\nseed = 3\n"
+        data, cfg = _rss_inputs(tmp_path, config)
+        args = ["rss", "--data", str(data), "--config", str(cfg)]
+    assert main(args + ["--out", str(run)]) == 0
+    assert main(["roc", "--scores", str(run / "scores.csv"), "--out", str(rocs)]) == 0
+    for name in ("roc.csv", "roc.svg", "summary.csv"):
+        assert (run / name).read_bytes() == (rocs / name).read_bytes(), name
 
 
 class TestOracleCommand:

@@ -104,17 +104,23 @@ class TestPooledRocs:
     def test_failed_fits_are_skipped(self):
         labels = np.array([False, False, True, True])
         fits = [
+            ScoreBlock(0, "b", labels, np.array([3.0, 0.0, 1.0, 2.0]), np.zeros(4)),
             ScoreBlock(0, "a", labels, np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4)),
-            Failure(0, "b", "RegimeError", "forced"),
+            Failure(0, "c", "RegimeError", "forced"),
             Failure(1, "a", "RegimeError", "forced"),
             ScoreBlock(1, "a", labels, np.array([0.5, 1.5, 0.0, 4.0]), np.zeros(4)),
             Failure(1, "b", "RegimeError", "forced"),
+            Failure(1, "c", "RegimeError", "forced"),
         ]
-        (curve,) = pooled_rocs(fits, ("a", "b"))
-        expected = roc([0.0, 1.0, 0.5, 1.5], [2.0, 3.0, 0.0, 4.0], method="a")
-        assert curve.method == "a"
-        for field in ("fpr", "tpr", "thresholds"):
-            assert np.array_equal(getattr(curve, field), getattr(expected, field))
+        curves = pooled_rocs(fits)
+        assert [c.method for c in curves] == ["a", "b"]  # sorted by name
+        expected = [
+            roc([0.0, 1.0, 0.5, 1.5], [2.0, 3.0, 0.0, 4.0], method="a"),
+            roc([3.0, 0.0], [1.0, 2.0], method="b"),
+        ]
+        for curve, ref in zip(curves, expected):
+            for field in ("fpr", "tpr", "thresholds"):
+                assert np.array_equal(getattr(curve, field), getattr(ref, field))
 
 
 class TestRender:
