@@ -109,18 +109,15 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
 
 def eigh(S: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    The input is symmetrized as (S + S') / 2 before decomposition to absorb
-    accumulated asymmetry.
-    """
+    LAPACK reads only the lower triangle of S: every producer is exactly
+    symmetric, so S is decomposed as validated, with no (S + S') / 2 copy."""
     S = validate_symmetric(S)
-    M = (S + S.T) / 2.0
     try:
-        vals, vecs = np.linalg.eigh(M)
+        vals, vecs = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"eigensolver failed on {M.shape[0]}x{M.shape[0]} matrix "
-            f"(trace={np.trace(M):.6g}, max|entry|={np.abs(M).max():.6g}): {exc}"
+            f"eigensolver failed on {S.shape[0]}x{S.shape[0]} matrix "
+            f"(trace={np.trace(S):.6g}, max|entry|={np.abs(S).max():.6g}): {exc}"
         ) from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 

@@ -50,7 +50,8 @@ def _check_spectrum(lam) -> np.ndarray:
     if lam.ndim != 1:
         raise DimensionError("eigenvalues must form a 1-d vector")
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-        raise DomainError("kernel estimates require strictly positive eigenvalues")
+        low = f"smallest {lam.min():.2g} of {lam.size}"
+        raise DomainError(f"kernel estimates require strictly positive eigenvalues ({low})")
     return lam
 
 

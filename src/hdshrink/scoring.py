@@ -1,8 +1,10 @@
 """Fit-once/score-many engine shared by the synthetic and sensor-data
 experiment drivers.
 
-A reference sample fixes the spectrum, shrinkage curve, and per-method
-scorers (build_scorer); test vectors are then scored in bulk.  map_indices
+A reference sample fixes the per-method scorers (build_scorer); test
+vectors are then scored in bulk.  Its spectrum and shrinkage curve are
+computed on a spectral method's first read, inside that method's failure
+record, so tyler and cq still score on a singular reference.  map_indices
 runs one fit_and_score task per trial or resample, in a pool with BLAS at one
 thread.  parse_config reads either driver's config file into its dataclass.
 """
@@ -16,7 +18,7 @@ import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,23 +41,30 @@ SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
 PRIOR_METHODS = ("proposed", "lappw")  # the methods whose curve reads the prior
 
 
-@dataclass(frozen=True)
 class FittedReference:
-    """Everything derived from one reference sample; curve is None when no
-    curve was fitted."""
+    """One reference sample X (p x n) and its mean xbar.  spec (eigh of the
+    sample covariance) and curve (its lw_curve) are computed on first read,
+    once per instance; a read that raises keeps nothing.  A fit lives on one
+    thread, so the memo takes no lock (cached_property's lock is shared)."""
 
-    xbar: np.ndarray
-    spec: Spectrum
-    curve: Optional[LwCurve]
-    X: np.ndarray
+    def __init__(self, X: np.ndarray):
+        self.X, self.xbar, self._memo = X, X.mean(axis=1), {}
+
+    @property
+    def spec(self) -> Spectrum:
+        if "spec" not in self._memo:
+            self._memo["spec"] = eigh(sample_covariance(self.X))
+        return self._memo["spec"]
+
+    @property
+    def curve(self) -> LwCurve:
+        if "curve" not in self._memo:
+            self._memo["curve"] = lw_curve(self.spec.eigenvalues, self.X.shape[1])
+        return self._memo["curve"]
 
 
-def fit_reference(X: np.ndarray, need_curve: bool = True) -> FittedReference:
-    X = np.asarray(X, dtype=float)
-    S = sample_covariance(X)
-    spec = eigh(S)
-    curve = lw_curve(spec.eigenvalues, X.shape[1]) if need_curve else None
-    return FittedReference(xbar=X.mean(axis=1), spec=spec, curve=curve, X=X)
+def fit_reference(X: np.ndarray) -> FittedReference:
+    return FittedReference(np.asarray(X, dtype=float))
 
 
 def check_methods(cfg) -> None:
@@ -219,7 +228,7 @@ def fit_and_score(cfg, X, blocks, labels, trial: int) -> list:
     blocks' columns, in order.  Returns, in cfg.methods order, one
     ScoreBlock per method, or the Failure of a method that raised.
     """
-    fit = fit_reference(X, need_curve=any(m in SPECTRAL_METHODS for m in cfg.methods))
+    fit = fit_reference(X)
     fits = []
     for method in cfg.methods:
         try:

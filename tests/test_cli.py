@@ -14,7 +14,8 @@ import hdshrink.scoring
 import hdshrink.shrinkers
 from hdshrink.cli import main
 from hdshrink.errors import DegenerateStatisticError
-from hdshrink.rss import RssSeries
+from hdshrink.rss import RssSeries, load_rss
+from hdshrink.scoring import SPECTRAL_METHODS
 from hdshrink.shrinkers import PriorSpec, ShrinkageCurve, proposed_shrinker
 from hdshrink.simulate import substream
 
@@ -490,6 +491,24 @@ class TestRssCommand:
         err = capsys.readouterr().err
         assert "config error: spectral methods require p < n, got p=60, n=50" in err
         assert not out.exists()
+
+    def test_constant_channel_fails_only_spectral_methods(self, tmp_path):
+        # A dead link reads -60 throughout, so every reference covariance is
+        # singular.  At seed 1 a spectrum computed outside the per-method
+        # failure record makes this run exit 3 and write nothing.  The
+        # failure type of each spectral method follows the rounding sign of
+        # the null eigenvalue, so only the method names are asserted.
+        data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 4\nseed = 1\n", p=6)
+        series = load_rss(data)
+        series.channels[:, 2] = -60.0
+        write_rss_csv(series, data)
+        out = tmp_path / "out"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "scores.csv").read_text().splitlines()[1:]]
+        for method in ("tyler", "cq"):
+            assert {row[0] for row in rows if row[1] == method} == {"0", "1", "2", "3"}
+        errors = [row.split(",") for row in _errors_csv(out)[1:]]
+        assert errors and all(row[1] in SPECTRAL_METHODS for row in errors)
 
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"

@@ -10,7 +10,7 @@ import hdshrink.scoring
 import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
-from hdshrink.errors import ConfigError, DataError, RegimeError
+from hdshrink.errors import ConfigError, DataError, DomainError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
 from hdshrink.scoring import METHODS, Failure, ScoreBlock, parse_config
@@ -300,6 +300,36 @@ class TestRunTrials:
             assert isinstance(block, ScoreBlock)
             assert np.array_equal(block.score_z, block.score_raw)
             assert not np.shares_memory(block.score_z, block.score_raw)
+
+    def test_tyler_and_cq_fit_reads_no_spectrum(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum computed for tyler and cq")
+
+        for name in ("sample_covariance", "eigh", "lw_curve"):
+            monkeypatch.setattr(hdshrink.scoring, name, forbidden)
+        cfg = ExperimentConfig(p=12, n=40, seed=15, methods=("tyler", "cq"))
+        rng = substream(15, "no-spectrum")
+        X, Y = rng.standard_normal((12, 40)), rng.standard_normal((12, 6))
+        fits = hdshrink.scoring.fit_and_score(cfg, X, [Y], np.arange(6) >= 3, trial=0)
+        assert [type(f) for f in fits] == [ScoreBlock, ScoreBlock]
+
+    def test_curve_failure_fails_each_spectral_method_alike(self, monkeypatch):
+        calls = []
+
+        def no_curve(lam, n):
+            calls.append(n)
+            raise DomainError("forced curve failure")
+
+        monkeypatch.setattr(hdshrink.scoring, "lw_curve", no_curve)
+        cfg = ExperimentConfig(p=12, n=40, seed=15, methods=("proposed", "lw", "tyler", "cq"))
+        rng = substream(15, "no-curve")
+        X, Y = rng.standard_normal((12, 40)), rng.standard_normal((12, 6))
+        fits = hdshrink.scoring.fit_and_score(cfg, X, [Y], np.arange(6) >= 3, trial=4)
+        assert [f.method for f in fits] == list(cfg.methods)
+        failure = Failure(4, "proposed", "DomainError", "forced curve failure")
+        assert fits[:2] == [failure, failure._replace(method="lw")]
+        assert [type(f) for f in fits[2:]] == [ScoreBlock, ScoreBlock]
+        assert calls == [40, 40]  # a failed read is not kept: each method retries
 
     def test_h0_scores_finite_across_methods(self):
         cfg = ExperimentConfig(
