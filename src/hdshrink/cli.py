@@ -220,6 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    env = (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+    pinned = blas_thread_control() or "1" in env
+    if args.command in ("simulate", "rss", "shrink") and not pinned:
+        print(
+            "warning: numpy's OpenBLAS thread setter was not found, so the output "
+            "bytes may follow the BLAS thread count; set OPENBLAS_NUM_THREADS=1",
+            file=sys.stderr,
+        )
     try:
         return args.func(args)
     except ConfigError as exc:

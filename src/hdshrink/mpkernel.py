@@ -32,26 +32,26 @@ def semicircle_kernel(x):
     return k, K
 
 
-def eps_den(x):
-    """Denominator floor 1e-12 * max(1, x^2) used by every shrinkage ratio."""
-    x = np.asarray(x, dtype=float)
-    return 1e-12 * np.maximum(1.0, x * x)
-
-
 def _shrinkage_limit(x, phi, w, hw):
-    """x / ([1 - phi - pi phi x hw]^2 + (pi phi x w)^2), floored at eps_den(x)."""
+    """x / ([1 - phi - pi phi x hw]^2 + (pi phi x w)^2), floored at 1e-12."""
     scale = np.pi * phi * x
     den = (1.0 - phi - scale * hw) ** 2 + (scale * w) ** 2
-    return x / np.maximum(den, eps_den(x))
+    return x / np.maximum(den, 1e-12)
 
 
-def _check_spectrum(lam) -> np.ndarray:
+def check_spectrum(lam) -> np.ndarray:
+    """lam as a float vector if it is a usable spectrum, else a DomainError.
+    The one rule: finite, with lam_min > p eps lam_max (numpy's matrix_rank
+    tolerance), which is scale-free, like every ratio built on lam."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.ndim != 1:
-        raise DimensionError("eigenvalues must form a 1-d vector")
-    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-        low = f"smallest {lam.min():.2g} of {lam.size}"
-        raise DomainError(f"kernel estimates require strictly positive eigenvalues ({low})")
+    if lam.ndim != 1 or lam.size == 0:
+        raise DimensionError("eigenvalues must form a nonempty 1-d vector")
+    low, high = lam.min(), lam.max()
+    if not low > lam.size * np.finfo(float).eps * high:  # NaN and inf fail too
+        raise DomainError(
+            f"the spectrum is singular or not finite: smallest eigenvalue {low:.3g}, "
+            f"largest {high:.3g}, p = {lam.size}"
+        )
     return lam
 
 
@@ -64,7 +64,7 @@ def kernel_matrix(lam, n, x):
     kernel estimates of the spectral density and of its Hilbert transform
     at x_i.  Each bump integrates to one.
     """
-    lam = _check_spectrum(lam)
+    lam = check_spectrum(lam)
     width = float(n) ** BANDWIDTH_EXPONENT * lam[:, None]
     t = (np.atleast_1d(x)[None, :] - lam[:, None]) / width
     k, K = semicircle_kernel(t)
@@ -75,33 +75,35 @@ def kernel_matrix(lam, n, x):
 class LwCurve:
     """Kernel density, Hilbert transform, and shrinkage values at the
     sample eigenvalues, the Hilbert bump matrix K_mat of kernel_matrix
-    (shared by the shrinker and standardization sums), and the aspect ratio
-    and sample size that produced them."""
+    (shared by the shrinker and standardization sums), and the sample size
+    that produced them."""
 
     lam: np.ndarray
     w_tilde: np.ndarray
     hw_tilde: np.ndarray
     d_tilde: np.ndarray
     hilbert_matrix: np.ndarray = field(repr=False)
-    phi_n: float
     n: int
 
     @property
     def p(self) -> int:
         return self.lam.shape[0]
 
+    @property
+    def phi_n(self) -> float:
+        return self.p / self.n
+
 
 def lw_curve(lam, n) -> LwCurve:
     """Evaluate the observable shrinkage curve at the p sample eigenvalues lam.
 
     d(x) = x / ([1 - p/n - (p/n) pi x Hw~(x)]^2 + (p/n)^2 pi^2 x^2 w~(x)^2),
-    with the denominator floored at eps_den(x).
+    with the denominator floored at 1e-12.  kernel_matrix checks lam.
     """
-    lam = _check_spectrum(lam)
-    p = lam.shape[0]
+    lam = np.asarray(lam, dtype=float)
+    p = lam.size
     if p >= n:
         raise RegimeError(f"shrinkage curve requires p < n, got p={p}, n={n}")
-    phi = p / n
     dmat, hmat = kernel_matrix(lam, n, lam)
     # Means over j along contiguous [i, j] rows (pairwise summation); a mean
     # over axis 0 adds in another order and moves the last bits of d.
@@ -111,9 +113,8 @@ def lw_curve(lam, n) -> LwCurve:
         lam=lam,
         w_tilde=w,
         hw_tilde=hw,
-        d_tilde=_shrinkage_limit(lam, phi, w, hw),
+        d_tilde=_shrinkage_limit(lam, p / n, w, hw),
         hilbert_matrix=hmat,
-        phi_n=phi,
         n=int(n),
     )
 

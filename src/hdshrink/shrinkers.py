@@ -23,7 +23,7 @@ from .errors import (
     RegimeError,
 )
 from .linalg import cholesky, inverse_quadratic_forms
-from .mpkernel import DensityOracle, LwCurve, eps_den, pv_hilbert
+from .mpkernel import DensityOracle, LwCurve, check_spectrum, pv_hilbert
 
 PRIOR_MODES = ("identity", "covariance_matched")
 LAPPW_GRID = 10_000  # log-spaced intercepts lappw_select_b searches
@@ -98,13 +98,8 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec) -> ShrinkageCurve:
     if p >= curve.n:
         raise RegimeError(f"proposed shrinker requires p < n, got p={p}, n={curve.n}")
     phi = curve.phi_n
-    d = curve.d_tilde
     hbar = hbar_values(prior, curve)
-
-    denom = d * lam
-    if np.any(denom <= eps_den(lam)):
-        raise NumericError("shrinkage denominator d(lam) * lam underflowed its floor")
-
+    denom = curve.d_tilde * lam
     K = curve.hilbert_matrix
     H_n = (hbar @ K) / p
     g_n = 1.0 - phi - phi * np.pi * lam * curve.hw_tilde
@@ -155,9 +150,7 @@ def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
 
 def lw_comparator(curve: LwCurve) -> ShrinkageCurve:
     """Nonlinear-shrinkage baseline: reciprocal of the shrinkage curve."""
-    d = np.asarray(curve.d_tilde, dtype=float)
-    values = 1.0 / np.maximum(d, eps_den(curve.lam))
-    return ShrinkageCurve(values=values, label="lw")
+    return ShrinkageCurve(values=1.0 / curve.d_tilde, label="lw")
 
 
 def ridge_shrinker(lam, b: float, label: str = "ridge") -> ShrinkageCurve:
@@ -281,12 +274,6 @@ def identity_shrinker(p: int) -> ShrinkageCurve:
 
 
 def hotelling_shrinker(lam) -> ShrinkageCurve:
-    """Classical plug-in inverse 1 / lam_i; needs a well-separated spectrum."""
-    lam = np.asarray(lam, dtype=float)
-    floor = 1e-10 * lam.max()
-    if np.any(lam <= floor):
-        raise RegimeError(
-            "sample spectrum is near-singular; the plug-in inverse needs "
-            "p < n with a full-rank sample covariance"
-        )
-    return ShrinkageCurve(values=1.0 / lam, label="hotelling")
+    """Classical plug-in inverse 1 / lam_i of a spectrum that passes
+    check_spectrum."""
+    return ShrinkageCurve(values=1.0 / check_spectrum(lam), label="hotelling")

@@ -496,8 +496,8 @@ class TestRssCommand:
         # A dead link reads -60 throughout, so every reference covariance is
         # singular.  At seed 1 a spectrum computed outside the per-method
         # failure record makes this run exit 3 and write nothing.  The
-        # failure type of each spectral method follows the rounding sign of
-        # the null eigenvalue, so only the method names are asserted.
+        # spectrum fails check_spectrum whichever way its null eigenvalue
+        # rounds, so every failure has one type.
         data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 4\nseed = 1\n", p=6)
         series = load_rss(data)
         series.channels[:, 2] = -60.0
@@ -509,6 +509,7 @@ class TestRssCommand:
             assert {row[0] for row in rows if row[1] == method} == {"0", "1", "2", "3"}
         errors = [row.split(",") for row in _errors_csv(out)[1:]]
         assert errors and all(row[1] in SPECTRAL_METHODS for row in errors)
+        assert {row[2] for row in errors} == {"DomainError"}
 
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"
@@ -599,6 +600,20 @@ class TestShrinkCommand:
         assert "spectral methods require p < n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("method", hdshrink.scoring.SPECTRAL_METHODS)
+    def test_duplicated_row_exits_3_at_every_seed(self, tmp_path, capsys, method):
+        # Row 4 repeats row 3, so the sample covariance is singular.  Its null
+        # eigenvalue rounds to either sign; both fail the one spectrum rule.
+        data, out = tmp_path / "dup.csv", tmp_path / "o"
+        for seed in range(8):
+            X = np.random.default_rng(seed).standard_normal((10, 60))
+            X[4] = X[3]
+            np.savetxt(data, X, delimiter=",", fmt="%.17g")
+            args = ["shrink", "--data", str(data), "--shrinker", method]
+            assert main(args + ["--out", str(out)]) == 3, seed
+            assert "the spectrum is singular or not finite" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("shape", [(40, 30), (40, 40)])
     def test_tyler_with_p_at_least_n(self, tmp_path, shape):
         out = tmp_path / "o"
@@ -663,6 +678,29 @@ class TestShrinkCommand:
         finally:
             set_(previous)
         assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize(
+    "env,command,warned",
+    [
+        ({}, "shrink", True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "shrink", True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "shrink", False),
+        ({"OMP_NUM_THREADS": "1"}, "shrink", False),
+        ({}, "oracle", False),
+    ],
+)
+def test_unpinned_blas_warns_once(
+    tmp_path, data_csv, monkeypatch, capsys, env, command, warned
+):
+    monkeypatch.setattr(hdshrink.cli, "blas_thread_control", lambda: None)
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    args = {"shrink": ["--data", str(data_csv)], "oracle": ["--phi", "0.2"]}[command]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.count("set OPENBLAS_NUM_THREADS=1") == warned
 
 
 class TestRocCommand:

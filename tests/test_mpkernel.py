@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from hdshrink.errors import DomainError, RegimeError
 from hdshrink.linalg import sample_covariance
 from hdshrink.mpkernel import (
-    eps_den,
     identity_mp_oracle,
     kernel_matrix,
     lw_curve,
@@ -155,7 +154,7 @@ class TestLwCurve:
         hw = (K_pt / bump).mean(axis=1)
         phi = p / n
         den = (1.0 - phi - phi * np.pi * lam * hw) ** 2 + (phi * np.pi * lam * w) ** 2
-        d = lam / np.maximum(den, eps_den(lam))
+        d = lam / np.maximum(den, 1e-12)
         width = n ** (-1.0 / 3.0) * lam[:, None]
         _, K = semicircle_kernel((lam[None, :] - lam[:, None]) / width)
         curve = lw_curve(lam, n)

@@ -109,7 +109,7 @@ class TestProposedShrinker:
     def test_requires_p_below_n(self):
         lam = np.linspace(0.5, 1.5, 20)
         curve = lw_curve(lam, 100)
-        bad = dataclasses.replace(curve, phi_n=2.0, n=10)
+        bad = dataclasses.replace(curve, n=10)
         with pytest.raises(RegimeError):
             proposed_shrinker(bad, PriorSpec("identity"))
 
@@ -490,7 +490,7 @@ class TestSimpleShrinkers:
         assert t2 == pytest.approx(v @ np.linalg.inv(S) @ v, rel=1e-10)
 
     def test_hotelling_rejects_near_singular(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError):
             hotelling_shrinker(np.array([1e-22, 1.0]))
 
 

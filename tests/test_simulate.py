@@ -362,6 +362,22 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="no spectral curve for"):
             hdshrink.scoring.spectral_curve(method, fit, PriorSpec())
 
+    @pytest.mark.parametrize("method", hdshrink.scoring.SPECTRAL_METHODS)
+    def test_spectral_z_is_free_of_data_units(self, method):
+        # The statistic is degree-0 homogeneous in the data, and a power of
+        # two rescales every float exactly, so z keeps its bits.
+        root = _spd_root(make_covariance(60, 100.0, 1))
+        rng = substream(1, "units")
+        X, Y = _draw(rng, root, "gaussian", 100), _draw(rng, root, "gaussian", 20)
+
+        def z(c):
+            fit = hdshrink.scoring.fit_reference(c * X)
+            return hdshrink.scoring.build_scorer(method, fit, PriorSpec())(c * Y)[0]
+
+        reference = z(1.0)
+        for k in (20, -10, -20):
+            assert np.array_equal(z(2.0**k), reference), k
+
 
 def _scores_csv_bytes(outputs, path):
     write_scores_csv(outputs, path)
