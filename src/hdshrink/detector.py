@@ -8,9 +8,10 @@ standardization_scale, is sqrt(2 * sigma_tilde2) per sqrt(p); Standardizer
 and criterion_batch divide by it, and the null scores are then
 asymptotically standard normal for Gaussian data.
 
-Each quantity comes in one batched form: srht_many scores a stack of test
-vectors, and gamma_tilde_all, sigma_tilde2_batch, standardization_scale and
-criterion_batch take a (..., p) stack of shrinker value vectors.
+Each quantity comes in one batched form: squared_projection, the one
+projection rule, maps a stack Y of test vectors to Q = (U'(Y - xbar))^2, and
+srht_many is f @ Q; gamma_tilde_all, sigma_tilde2_batch, standardization_scale
+and criterion_batch take a (..., p) stack of shrinker value vectors.
 """
 
 from __future__ import annotations
@@ -26,23 +27,28 @@ from .mpkernel import LwCurve
 GAUSSIAN_QF_VARIANCE_FACTOR = 2.0
 
 
+def squared_projection(Y, xbar, spec: Spectrum) -> np.ndarray:
+    """Q = (U'(y - xbar))^2 for every column y of Y, U spec's eigenvectors:
+    the same for every shrinker f, whose statistic is f @ Q."""
+    Y = np.asarray(Y, dtype=float)
+    xbar = np.asarray(xbar, dtype=float)
+    p = spec.eigenvalues.size
+    if Y.ndim != 2 or Y.shape[0] != p or xbar.shape != (p,):
+        raise DimensionError(f"projection dims disagree: Y {Y.shape}, xbar {xbar.shape}, p={p}")
+    proj = spec.eigenvectors.T @ (Y - xbar[:, None])
+    return np.square(proj, out=proj)
+
+
 def srht_many(Y, xbar, spec: Spectrum, curve_values) -> np.ndarray:
     """Quadratic-form statistic (y - xbar)' f(S) (y - xbar) for every
     column y of Y.
 
     f(S) is represented spectrally by per-eigenvalue values on spec's basis.
     """
-    Y = np.asarray(Y, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
     f = np.asarray(curve_values, dtype=float)
-    p = spec.eigenvalues.size
-    if Y.ndim != 2 or Y.shape[0] != p or xbar.shape != (p,) or f.shape != (p,):
-        raise DimensionError(
-            f"srht_many dims disagree: Y {Y.shape}, xbar {xbar.shape}, "
-            f"curve {f.shape}, p={p}"
-        )
-    proj = spec.eigenvectors.T @ (Y - xbar[:, None])
-    return f @ (proj * proj)
+    if f.shape != spec.eigenvalues.shape:
+        raise DimensionError(f"curve {f.shape} disagrees with p={spec.eigenvalues.size}")
+    return f @ squared_projection(Y, xbar, spec)
 
 
 def gamma_tilde_all(F, curve: LwCurve) -> np.ndarray:

@@ -4,9 +4,12 @@ experiment drivers.
 A reference sample fixes the per-method scorers (build_scorer); test
 vectors are then scored in bulk.  Its spectrum and shrinkage curve are
 computed on a spectral method's first read, inside that method's failure
-record, so tyler and cq still score on a singular reference.  map_indices
-runs one fit_and_score task per trial or resample, in a pool with BLAS at one
-thread.  parse_config reads either driver's config file into its dataclass.
+record, so tyler and cq still score on a singular reference.  fit_and_score
+builds every scorer, then scores each block of test vectors with tyler and
+cq, then with the spectral methods on the block's one squared projection,
+dropped after the block.  map_indices runs one fit_and_score task per
+trial or resample, in a pool with BLAS at one thread.  parse_config reads
+either driver's config file into its dataclass.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ PRIOR_METHODS = ("proposed", "lappw")  # the methods whose curve reads the prior
 class FittedReference:
     """One reference sample X (p x n) and its mean xbar.  spec (eigh of the
     sample covariance) and curve (its lw_curve) are computed on first read,
-    once per instance; a read that raises keeps nothing.  A fit lives on one
-    thread, so the memo takes no lock (cached_property's lock is shared)."""
+    once per instance; a read that raises keeps nothing, and projection(Y)
+    keeps one block's until drop_projection.  A fit lives on one thread, so
+    the memo takes no lock (cached_property's lock is shared)."""
 
     def __init__(self, X: np.ndarray):
         self.X, self.xbar, self._memo = X, X.mean(axis=1), {}
@@ -61,6 +65,18 @@ class FittedReference:
         if "curve" not in self._memo:
             self._memo["curve"] = lw_curve(self.spec.eigenvalues, self.X.shape[1])
         return self._memo["curve"]
+
+    def projection(self, Y) -> np.ndarray:
+        """detector.squared_projection of the block Y (the same object), which
+        every spectral method reads."""
+        block, Q = self._memo.get("projection", (None, None))
+        if block is not Y:
+            Q = detector.squared_projection(Y, self.xbar, self.spec)
+            self._memo["projection"] = Y, Q
+        return Q
+
+    def drop_projection(self) -> None:
+        self._memo.pop("projection", None)
 
 
 def fit_reference(X: np.ndarray) -> FittedReference:
@@ -173,7 +189,7 @@ def build_scorer(method, fit, prior):
         to_z = detector.Standardizer(values, fit.curve)
 
         def spectral(Y):
-            raw = detector.srht_many(Y, fit.xbar, fit.spec, values)
+            raw = values @ fit.projection(Y)
             return to_z(raw), raw
 
         return spectral
@@ -222,23 +238,40 @@ class ScoreBlock(NamedTuple):
     score_raw: np.ndarray
 
 
+def _failure(trial: int, method, exc) -> Failure:
+    logger.warning("trial %d: method %s failed: %s", trial, method, exc)
+    return Failure(trial, method, type(exc).__name__, str(exc))
+
+
 def fit_and_score(cfg, X, blocks, labels, trial: int) -> list:
     """Fit the reference sample X, then score each block of test columns
     with each of cfg.methods under cfg.prior; labels is the label_h1 of the
     blocks' columns, in order.  Returns, in cfg.methods order, one
     ScoreBlock per method, or the Failure of a method that raised.
+
+    Every scorer is built first.  Then, per block, tyler and cq score, then
+    the spectral methods on the block's one projection, dropped after it.
     """
     fit = fit_reference(X)
-    fits = []
+    scorers, parts = {}, {}  # parts: a method's (z, raw) per block, or its Failure
     for method in cfg.methods:
         try:
-            scorer = build_scorer(method, fit, cfg.prior)
-            z, raw = map(np.concatenate, zip(*[scorer(Y) for Y in blocks]))
-            fits.append(ScoreBlock(trial, method, labels, z, raw))
+            scorers[method], parts[method] = build_scorer(method, fit, cfg.prior), []
         except Exception as exc:  # recorded; the other methods continue
-            logger.warning("trial %d: method %s failed: %s", trial, method, exc)
-            fits.append(Failure(trial, method, type(exc).__name__, str(exc)))
-    return fits
+            parts[method] = _failure(trial, method, exc)
+    for Y in blocks:
+        for method in sorted(scorers, key=lambda m: m in SPECTRAL_METHODS):
+            try:
+                parts[method].append(scorers[method](Y))
+            except Exception as exc:
+                del scorers[method]
+                parts[method] = _failure(trial, method, exc)
+        fit.drop_projection()
+    return [
+        part if isinstance(part, Failure)
+        else ScoreBlock(trial, method, labels, *map(np.concatenate, zip(*part)))
+        for method, part in parts.items()
+    ]
 
 
 def scores_csv_text(block: ScoreBlock) -> str:

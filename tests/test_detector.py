@@ -54,6 +54,8 @@ class TestSrht:
         spec = eigh(sample_covariance(X))
         with pytest.raises(DimensionError):
             srht_many(np.ones((5, 1)), np.ones(4), spec, np.ones(4))
+        with pytest.raises(DimensionError):
+            srht_many(np.ones((4, 1)), np.ones(4), spec, np.ones(5))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(4)

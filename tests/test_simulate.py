@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import hdshrink.scoring
 import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
+from hdshrink.detector import Standardizer, srht_many
 from hdshrink.errors import ConfigError, DataError, DomainError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
@@ -377,6 +379,120 @@ class TestRunTrials:
         reference = z(1.0)
         for k in (20, -10, -20):
             assert np.array_equal(z(2.0**k), reference), k
+
+
+def _projection_fit(n_blocks, transposed, tag):
+    """A 7-method config, a 12 x 40 reference and n_blocks test blocks of 5
+    columns, C-ordered or transposed views (rss's layout)."""
+    cfg = ExperimentConfig(p=12, n=40, seed=17)
+    rng = substream(17, "projection", tag)
+    X = rng.standard_normal((12, 40))
+    if transposed:
+        blocks = [rng.standard_normal((5, 12)).T for _ in range(n_blocks)]
+    else:
+        blocks = [rng.standard_normal((12, 5)) for _ in range(n_blocks)]
+    return cfg, X, blocks, np.arange(5 * n_blocks) >= 5
+
+
+def _counting_projection(monkeypatch):
+    """Count detector.squared_projection calls; keep a weak reference to
+    each result, which is dead once the result is dropped."""
+    real, made = hdshrink.detector.squared_projection, []
+
+    def counting(*args):
+        Q = real(*args)
+        made.append(weakref.ref(Q))
+        return Q
+
+    monkeypatch.setattr(hdshrink.detector, "squared_projection", counting)
+    return made
+
+
+class TestSharedProjection:
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_spectral_scores_match_srht_many_per_block(self, n_blocks, transposed):
+        cfg, X, blocks, labels = _projection_fit(n_blocks, transposed, "bytes")
+        fits = hdshrink.scoring.fit_and_score(cfg, X, blocks, labels, trial=0)
+        assert [type(f) for f in fits] == [ScoreBlock] * len(METHODS)
+        ref = hdshrink.scoring.fit_reference(X)
+        for block in fits:
+            if block.method not in hdshrink.scoring.SPECTRAL_METHODS:
+                continue
+            values = hdshrink.scoring.spectral_curve(block.method, ref, cfg.prior).values
+            to_z = Standardizer(values, ref.curve)
+            raw = [srht_many(Y, ref.xbar, ref.spec, values) for Y in blocks]
+            assert np.array_equal(block.score_raw, np.concatenate(raw)), block.method
+            assert np.array_equal(block.score_z, np.concatenate([to_z(r) for r in raw]))
+
+    @pytest.mark.parametrize(
+        "methods, calls", [(METHODS, 2), (("tyler", "cq"), 0), (("cq", "identity"), 2)]
+    )
+    def test_one_projection_per_block(self, monkeypatch, methods, calls):
+        made = _counting_projection(monkeypatch)
+        cfg, X, blocks, labels = _projection_fit(2, False, "count")
+        cfg = dataclasses.replace(cfg, methods=methods)
+        fits = hdshrink.scoring.fit_and_score(cfg, X, blocks, labels, trial=0)
+        assert [type(f) for f in fits] == [ScoreBlock] * len(methods)
+        assert len(made) == calls
+        assert all(ref() is None for ref in made)  # nothing keeps one past the fit
+
+    def test_wrong_row_count_fails_each_spectral_method_alike(self):
+        cfg, X, _, labels = _projection_fit(1, False, "rows")
+        Y = substream(17, "projection", "short").standard_normal((11, 5))
+        fits = hdshrink.scoring.fit_and_score(cfg, X, [Y], labels, trial=3)
+        assert [f.method for f in fits] == list(METHODS)
+        message = "projection dims disagree: Y (11, 5), xbar (12,), p=12"
+        for f in fits:
+            if f.method in hdshrink.scoring.SPECTRAL_METHODS:
+                assert f == Failure(3, f.method, "DimensionError", message)
+
+    def test_failure_on_last_block_leaves_only_the_failure(self, monkeypatch):
+        real = hdshrink.scoring.build_scorer
+
+        def second_block_fails(method, fit, prior):
+            scorer, seen = real(method, fit, prior), []
+
+            def score(Y):
+                seen.append(Y)
+                if method == "lw" and len(seen) == 2:
+                    raise RuntimeError("forced block-2 failure")
+                return scorer(Y)
+
+            return score
+
+        monkeypatch.setattr(hdshrink.scoring, "build_scorer", second_block_fails)
+        cfg, X, blocks, labels = _projection_fit(2, False, "late")
+        fits = hdshrink.scoring.fit_and_score(cfg, X, blocks, labels, trial=5)
+        assert [f.method for f in fits] == list(METHODS)
+        (failed,) = [f for f in fits if isinstance(f, Failure)]
+        assert failed == Failure(5, "lw", "RuntimeError", "forced block-2 failure")
+        for block in fits:
+            if block is not failed:
+                assert block.score_z.shape == block.score_raw.shape == (10,)
+
+    def test_tyler_and_cq_score_before_the_projection(self, monkeypatch):
+        made = _counting_projection(monkeypatch)
+        real, events = hdshrink.scoring.build_scorer, []
+
+        def logged(method, fit, prior):
+            scorer = real(method, fit, prior)
+
+            def score(Y):
+                events.append((method, sum(ref() is not None for ref in made)))
+                return scorer(Y)
+
+            return score
+
+        monkeypatch.setattr(hdshrink.scoring, "build_scorer", logged)
+        cfg, X, blocks, labels = _projection_fit(2, False, "order")
+        hdshrink.scoring.fit_and_score(cfg, X, blocks, labels, trial=0)
+        # Per block: tyler and cq with no projection alive, then the first
+        # spectral method makes the block's one, which the others share.
+        first, *rest = [m for m in METHODS if m in hdshrink.scoring.SPECTRAL_METHODS]
+        per_block = [("tyler", 0), ("cq", 0), (first, 0)] + [(m, 1) for m in rest]
+        assert events == per_block * 2
+        assert len(made) == 2
 
 
 def _scores_csv_bytes(outputs, path):
