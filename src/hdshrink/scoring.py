@@ -203,8 +203,8 @@ def build_scorer(method, fit, prior):
         return tyler
     if method == "cq":
         n = fit.X.shape[1]
-        G = fit.X.T @ fit.X
-        offset = (G.sum() - np.trace(G)) / (n * (n - 1))
+        s = fit.X.sum(axis=1)  # 1'G1 = s's and tr G = ||X||_F^2 for G = X'X
+        offset = (s @ s - np.einsum("ij,ij->", fit.X, fit.X)) / (n * (n - 1))
 
         def cq(Y):
             raw = np.einsum("ij,ij->j", Y, Y) - 2.0 * (fit.xbar @ Y) + offset

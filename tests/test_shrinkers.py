@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from hdshrink.errors import (
     NumericError,
     RegimeError,
 )
-from hdshrink.linalg import eigh, sample_covariance
+from hdshrink.linalg import cholesky, eigh, inverse_quadratic_forms, sample_covariance
 from hdshrink.mpkernel import identity_mp_oracle, lw_curve
 from hdshrink.shrinkers import (
     LAPPW_GRID,
     PRIOR_MODES,
     PriorSpec,
+    TYLER_DEPTH,
     TYLER_TOL,
     fstar_curve,
     hbar_values,
@@ -341,11 +343,65 @@ def _plain_step_change(T, X, rho):
     return np.linalg.norm(step - T) / np.linalg.norm(T)
 
 
-def _sim_accept_reference(p=200, n=300, seed=1):
-    """The first trial's reference sample of the acceptance configuration:
-    kappa = 100, uniform components."""
-    root = _spd_root(make_covariance(p, 100.0, seed))
+def _sim_accept_reference(p=200, n=300, seed=1, kappa=100.0):
+    """The first trial's reference sample of a simulate configuration with
+    uniform components; by default the acceptance one (kappa = 100)."""
+    root = _spd_root(make_covariance(p, kappa, seed))
     return _draw(substream(seed, "trial", 0, "train"), root, "uniform", n)
+
+
+def _scatter(Xc, w, rho):
+    """tyler_estimator's trace-normalized scatter of the weights w."""
+    p, n = Xc.shape
+    W = Xc * np.sqrt(w)
+    S = W @ W.T
+    S *= (1.0 - rho) * (p / n)
+    S[np.diag_indices(p)] += rho
+    S *= p / np.trace(S)
+    return S
+
+
+def _tyler_every_image(X, rho=0.1, max_iter=500):
+    """tyler_estimator with the image S(g) formed and compared on every
+    iteration, as before the diagonal bound let it skip the image."""
+    X = np.asarray(X, dtype=float)
+    Xc = X - X.mean(axis=1, keepdims=True)
+    n = X.shape[1]
+    w = np.full(n, n / np.einsum("ij,ij->j", Xc, Xc).sum())
+    sigma = _scatter(Xc, w, rho)
+    dg, df = deque(maxlen=TYLER_DEPTH), deque(maxlen=TYLER_DEPTH)
+    residual = np.inf
+    for it in range(max_iter):
+        g = 1.0 / inverse_quadratic_forms(cholesky(sigma), Xc)
+        image = _scatter(Xc, g, rho)
+        residual = np.linalg.norm(image - sigma) / np.linalg.norm(sigma)
+        if residual <= TYLER_TOL:
+            return image
+        f = g - w
+        if it:
+            dg.append(g - g_last)
+            df.append(f - f_last)
+        g_last, f_last = g, f
+        w, sigma = g, image
+        if df:
+            mixed = hdshrink.shrinkers._anderson_mix(g, f, dg, df)
+            if np.all(mixed > 0.0):
+                w, sigma = mixed, _scatter(Xc, mixed, rho)
+            else:
+                dg.clear()
+                df.clear()
+    raise ConvergenceError("reference did not converge", residual=residual)
+
+
+# (name, sample, rho) on which tyler_estimator must keep the bytes of the
+# image-every-iteration loop; the Cauchy one clears its mixing history.
+TYLER_BYTES_CASES = [
+    ("sim-accept", lambda: _sim_accept_reference(), 0.1),
+    ("geomspace 50 x 90", lambda: _tyler_input(50, 90), 0.1),
+    ("cauchy rho 0", lambda: np.random.default_rng(0).standard_cauchy((50, 90)), 0.0),
+    ("p > n", lambda: _tyler_input(60, 40), 0.1),
+    ("sim-large", lambda: _sim_accept_reference(800, 1200, kappa=1e4), 0.1),
+]
 
 
 class TestTylerEstimator:
@@ -437,6 +493,37 @@ class TestTylerEstimator:
         assert _plain_step_change(T, X, rho) <= 10 * TYLER_TOL
         ref = _tyler_lu_reference(X, rho=rho)
         assert np.linalg.norm(T - ref) <= 5 * TYLER_TOL * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "make, rho", [c[1:] for c in TYLER_BYTES_CASES], ids=[c[0] for c in TYLER_BYTES_CASES]
+    )
+    def test_skipped_images_keep_every_byte(self, make, rho):
+        X = make()
+        assert tyler_estimator(X, rho=rho).tobytes() == _tyler_every_image(X, rho).tobytes()
+        for k in (1, 2, 3):
+            with pytest.raises(ConvergenceError) as ours:
+                tyler_estimator(X, rho=rho, max_iter=k)
+            with pytest.raises(ConvergenceError) as ref:
+                _tyler_every_image(X, rho, max_iter=k)
+            assert ours.value.residual == ref.value.residual, k
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    @pytest.mark.parametrize("p, n", [(30, 80), (80, 30)])
+    def test_diagonal_change_bounds_frobenius_change(self, p, n, rho):
+        rng = np.random.default_rng(12)
+        X = _tyler_input(p, n)
+        Xc = X - X.mean(axis=1, keepdims=True)
+        sq_norms = np.einsum("ij,ij->j", Xc, Xc)
+        # Weights on the scale of 1 / q, as the iteration's are. A spread
+        # moves weight between samples; a rescaling moves it between the
+        # data part and the rho I part of the trace-normalized scatter.
+        w = rng.uniform(0.5, 2.0, n) * p / sq_norms
+        spreads = (1e-9, 1e-4, 1e-1, 1.0, 3.0)
+        for g in [w * np.exp(s * rng.standard_normal(n)) for s in spreads] + [3.0 * w]:
+            Sg, Sw = _scatter(Xc, g, rho), _scatter(Xc, w, rho)
+            bound = hdshrink.shrinkers._diagonal_change(Xc, sq_norms, rho, g, w)
+            assert bound <= np.linalg.norm(Sg - Sw)
+            assert bound == pytest.approx(np.linalg.norm(np.diag(Sg - Sw)), rel=1e-6, abs=1e-12)
 
     def test_non_positive_definite_iterate_raises(self):
         # A coordinate that is zero in every sample leaves a zero row and

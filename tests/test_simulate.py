@@ -364,6 +364,20 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="no spectral curve for"):
             hdshrink.scoring.spectral_curve(method, fit, PriorSpec())
 
+    def test_cq_raw_matches_gram_matrix_formula(self):
+        # An uncentered sample, channel means near -55 as rss's have. The
+        # raw score (about p) is what is left of terms near p * 55^2, so the
+        # tolerance is relative to ||y||^2, the size of what cancels.
+        rng = substream(18, "cq")
+        X = rng.standard_normal((30, 80)) - 55.0
+        Y = rng.standard_normal((30, 7)) - 55.0
+        raw = hdshrink.scoring.build_scorer("cq", hdshrink.scoring.fit_reference(X), PriorSpec())(Y)[1]
+        n = X.shape[1]
+        G = X.T @ X
+        yy = np.einsum("ij,ij->j", Y, Y)
+        ref = yy - 2.0 * (X.mean(axis=1) @ Y) + (G.sum() - np.trace(G)) / (n * (n - 1))
+        assert np.all(np.abs(raw - ref) <= 1e-12 * yy)
+
     @pytest.mark.parametrize("method", hdshrink.scoring.SPECTRAL_METHODS)
     def test_spectral_z_is_free_of_data_units(self, method):
         # The statistic is degree-0 homogeneous in the data, and a power of
