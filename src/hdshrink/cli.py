@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, shrinkers
+from . import __version__, evaluate, shrinkers
 from .errors import ConfigError, DataError, NumericError, ParseError
-from .evaluate import pooled_rocs, render, write_summary_csv
 from .linalg import blas_thread_control, eigh, load_matrix, single_threaded_blas
 from .mpkernel import identity_mp_oracle
 from .rss import load_rss, rss_experiment
@@ -34,8 +33,6 @@ from .scoring import (
     fit_reference,
     spectral_curve,
     worker_count,
-    write_errors_csv,
-    write_score_blocks,
 )
 from .shrinkers import PriorSpec, ShrinkageCurve, fstar_curve, tyler_estimator
 from .simulate import calibrate_gamma, load_config, make_covariance, run_trials
@@ -45,8 +42,8 @@ ORACLE_POINTS = 200  # rows of oracle.csv
 
 def _write_rocs(command, curves, out, log_fpr=False) -> None:
     """The ROC files in out: roc.csv and roc.svg (render), summary.csv."""
-    render(curves, out, log_fpr=log_fpr)
-    write_summary_csv(curves, os.path.join(out, "summary.csv"))
+    evaluate.render(curves, out, log_fpr=log_fpr)
+    evaluate.write_summary_csv(curves, os.path.join(out, "summary.csv"))
     print(f"{command}: wrote {out}")
 
 
@@ -66,7 +63,7 @@ def _write_run(command, args, manifest, fits, curves) -> None:
     with open(os.path.join(args.out, "manifest"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in entries)
     failures = [f for f in fits if isinstance(f, Failure)]
-    write_errors_csv(failures, os.path.join(args.out, "errors.csv"))
+    evaluate.write_errors_csv(failures, os.path.join(args.out, "errors.csv"))
     counts = collections.Counter(f.method for f in failures)
     if counts:
         detail = ", ".join(f"{m}={k}" for m, k in counts.items())
@@ -77,7 +74,7 @@ def _write_run(command, args, manifest, fits, curves) -> None:
             "every method failed: "
             + "; ".join(f"{m} {k}x, first: {first[m]}" for m, k in counts.items())
         )
-    write_score_blocks(fits, os.path.join(args.out, "scores.csv"))
+    evaluate.write_score_blocks(fits, os.path.join(args.out, "scores.csv"))
     _write_rocs(command, curves, args.out)
 
 
@@ -90,7 +87,7 @@ def _cmd_simulate(args) -> int:
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     fits = [f for o in outputs for f in o.fits]
     manifest = [("seed", cfg.seed), ("gamma", f"{gamma:.17g}"), ("threads", threads)]
-    _write_run("simulate", args, manifest, fits, pooled_rocs(fits))
+    _write_run("simulate", args, manifest, fits, evaluate.pooled_rocs(fits))
     return 0
 
 
@@ -119,7 +116,9 @@ def _cmd_shrink(args) -> int:
             lam, curve = fit.curve.lam, spectral_curve(args.shrinker, fit, prior)
     os.makedirs(args.out, exist_ok=True)  # after the fit: no directory on an error
     out_path = os.path.join(args.out, "curve.csv")
-    curve.to_csv(out_path, lam)
+    columns = lam.tolist(), curve.values.tolist(), [curve.label] * lam.size
+    fmt = f"{evaluate.FLOAT_FMT},{evaluate.FLOAT_FMT},%s"
+    evaluate.write_table(out_path, ("lambda", "value", "label"), [(fmt, columns)])
     print(f"shrink: wrote {out_path}")
     return 0
 
@@ -154,7 +153,7 @@ def _cmd_roc(args) -> int:
     for m, (h0, h1) in by_method.items():
         labels = np.repeat([False, True], [len(h0), len(h1)])
         blocks.append(ScoreBlock(0, m, labels, np.array(h0 + h1), None))
-    _write_rocs("roc", pooled_rocs(blocks), args.out, log_fpr=args.log_fpr)
+    _write_rocs("roc", evaluate.pooled_rocs(blocks), args.out, log_fpr=args.log_fpr)
     return 0
 
 
@@ -165,13 +164,11 @@ def _cmd_oracle(args) -> int:
     xs = np.linspace(a + margin, b - margin, ORACLE_POINTS)
     ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
     fstar = fstar_curve(oracle, ones, xs)
-    cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)
-    cells = np.column_stack(cols).ravel().tolist()
+    cols = [c.tolist() for c in (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,w,hw,delta,fstar\n")
-        fh.write(("%.17g,%.17g,%.17g,%.17g,%.17g\n" * xs.size) % tuple(cells))
+    part = ",".join([evaluate.FLOAT_FMT] * len(cols)), cols
+    evaluate.write_table(path, ("x", "w", "hw", "delta", "fstar"), [part])
     print(f"oracle: wrote {path}")
     return 0
 

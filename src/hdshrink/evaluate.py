@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .scoring import Failure
+from .scoring import Failure, ScoreBlock
 
 POWER_LEVELS = (1e-1, 1e-2, 1e-4)
+FLOAT_FMT = "%.17g"  # a table's float cell: 17 digits give back the same double
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,56 @@ def roc_corners(curve: RocCurve) -> RocCurve:
     return RocCurve(f[keep], t[keep], curve.thresholds[keep], curve.method)
 
 
+def write_table(path, header, parts) -> None:
+    """A UTF-8 table with "\n" line ends: the header fields joined by commas,
+    then per (fmt, columns) of parts, one line fmt % row per row of the
+    equal-length lists columns, in one % per part.  A string that data
+    supplies, such as a method name, is a %s cell, never part of fmt."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for fmt, columns in parts:
+            width, rows = len(columns), len(columns[0])
+            cells = [None] * (width * rows)
+            for i, column in enumerate(columns):
+                cells[i::width] = column
+            fh.write(((fmt + "\n") * rows) % tuple(cells))
+
+
+def write_score_blocks(fits, path) -> None:
+    """scores.csv: one part per ScoreBlock of fits; a Failure has no rows
+    (errors.csv holds it)."""
+
+    def part(block):
+        prefix = [f"{block.trial},{block.method},{label}," for label in (0, 1)]
+        labels = [prefix[b] for b in block.label_h1.tolist()]
+        scores = block.score_z.tolist(), block.score_raw.tolist()
+        return f"%s{FLOAT_FMT},{FLOAT_FMT}", (labels, *scores)
+
+    write_table(path, ScoreBlock._fields, (part(f) for f in fits if isinstance(f, ScoreBlock)))
+
+
+def write_errors_csv(failures, path) -> None:
+    """errors.csv: a header line, then one csv-quoted line per Failure."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([Failure._fields, *failures])
+
+
 def write_roc_csv(curves, path) -> None:
     """One row per point of each curve (render passes the roc_corners)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,fpr,tpr,threshold\n")
-        for c in curves:
-            rows = zip(c.fpr.tolist(), c.tpr.tolist(), c.thresholds.tolist())
-            fh.write(
-                "".join(f"{c.method},{f:.17g},{t:.17g},{h:.17g}\n" for f, t, h in rows)
-            )
+    fmt = "%s" + f",{FLOAT_FMT}" * 3
+    parts = (
+        (fmt, [[c.method] * c.fpr.size] + [a.tolist() for a in (c.fpr, c.tpr, c.thresholds)])
+        for c in curves
+    )
+    write_table(path, ("method", "fpr", "tpr", "threshold"), parts)
 
 
 def write_summary_csv(curves, path) -> None:
     """One line per curve: method, auc, and power at each of POWER_LEVELS."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,auc,power_at_1e-1,power_at_1e-2,power_at_1e-4\n")
-        for c in curves:
-            values = [auc(c)] + [power_at_fpr(c, lvl) for lvl in POWER_LEVELS]
-            fh.write(c.method + "".join(f",{v:.17g}" for v in values) + "\n")
+    columns = [[c.method for c in curves], [auc(c) for c in curves]]
+    columns += [[power_at_fpr(c, lvl) for c in curves] for lvl in POWER_LEVELS]
+    header = ("method", "auc", "power_at_1e-1", "power_at_1e-2", "power_at_1e-4")
+    write_table(path, header, [("%s" + f",{FLOAT_FMT}" * 4, columns)])
 
 
 _PALETTE = (

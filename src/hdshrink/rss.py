@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ParseError
-from .evaluate import pooled_rocs
+from .evaluate import pooled_rocs, write_score_blocks
 from .scoring import (
     Failure,
     ScoreBlock,
@@ -24,7 +24,6 @@ from .scoring import (
     check_regime,
     fit_and_score,
     map_indices,
-    write_score_blocks,
 )
 from .shrinkers import PriorSpec
 from .simulate import substream
@@ -246,5 +245,5 @@ def rss_experiment(
 
 def write_rss_scores_csv(scores: RssScores, path) -> None:
     """scores.csv of an rss run, for bench/run.py alone: once it calls
-    scoring.write_score_blocks, as the CLI does, delete this."""
+    evaluate.write_score_blocks, as the CLI does, delete this."""
     write_score_blocks(scores.fits, path)

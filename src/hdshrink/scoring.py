@@ -14,7 +14,6 @@ either driver's config file into its dataclass.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 import os
@@ -274,23 +273,6 @@ def fit_and_score(cfg, X, blocks, labels, trial: int) -> list:
     ]
 
 
-def scores_csv_text(block: ScoreBlock) -> str:
-    """One block's scores.csv lines, scores as %.17g, in one % per block."""
-    prefix = [f"{block.trial},{block.method},{label}," for label in (0, 1)]
-    cells = [None] * (3 * block.score_z.size)
-    cells[0::3] = [prefix[b] for b in block.label_h1.tolist()]
-    cells[1::3], cells[2::3] = block.score_z.tolist(), block.score_raw.tolist()
-    return ("%s%.17g,%.17g\n" * block.score_z.size) % tuple(cells)
-
-
-def write_score_blocks(fits, path) -> None:
-    """scores.csv: the header, then the lines of each ScoreBlock of fits; a
-    Failure has none (errors.csv holds it)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(ScoreBlock._fields) + "\n")
-        fh.writelines(scores_csv_text(f) for f in fits if isinstance(f, ScoreBlock))
-
-
 def worker_count(threads: int | None, count: int) -> int:
     """min(threads, cores, count), at least 1; threads=None means cores and
     threads below 1 is a ConfigError."""
@@ -310,9 +292,3 @@ def map_indices(task, count: int, threads: int | None = None) -> list:
             return [task(i) for i in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, range(count)))
-
-
-def write_errors_csv(failures, path) -> None:
-    """errors.csv: a header line, then one line per Failure."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([Failure._fields, *failures])

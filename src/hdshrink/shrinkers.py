@@ -48,13 +48,6 @@ class ShrinkageCurve:
             raise NumericError(f"shrinkage curve {self.label!r} has negative values")
         object.__setattr__(self, "values", v)
 
-    def to_csv(self, path, lam) -> None:
-        lam = np.asarray(lam, dtype=float)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("lambda,value,label\n")
-            for x, v in zip(lam, self.values):
-                fh.write(f"{x:.17g},{v:.17g},{self.label}\n")
-
 
 @dataclass(frozen=True)
 class PriorSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .evaluate import power_at_fpr, roc
+from .evaluate import power_at_fpr, roc, write_score_blocks
 from .linalg import eigh, single_threaded_blas
 from .scoring import (
     METHODS,
@@ -25,7 +25,6 @@ from .scoring import (
     fit_and_score,
     map_indices,
     parse_config,
-    write_score_blocks,
 )
 from .shrinkers import PriorSpec
 
@@ -249,7 +248,7 @@ def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
 
 def write_scores_csv(outputs, path) -> None:
     """scores.csv of the trials' fits, for bench/run.py alone: once it calls
-    scoring.write_score_blocks, as the CLI does, delete this."""
+    evaluate.write_score_blocks, as the CLI does, delete this."""
     write_score_blocks((f for out in outputs for f in out.fits), path)
 
 

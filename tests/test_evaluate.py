@@ -3,17 +3,28 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hdshrink.cli import ORACLE_POINTS, main
 from hdshrink.errors import DataError, DomainError
 from hdshrink.evaluate import (
+    FLOAT_FMT,
+    POWER_LEVELS,
+    RocCurve,
     auc,
     pooled_rocs,
     power_at_fpr,
     render,
     roc,
     roc_corners,
+    write_roc_csv,
+    write_score_blocks,
     write_summary_csv,
+    write_table,
 )
-from hdshrink.scoring import Failure, ScoreBlock
+from hdshrink.linalg import single_threaded_blas
+from hdshrink.mpkernel import identity_mp_oracle
+from hdshrink.scoring import Failure, ScoreBlock, fit_reference, spectral_curve
+from hdshrink.shrinkers import PriorSpec, fstar_curve, ridge_shrinker
+from hdshrink.simulate import substream
 
 
 def pairwise_auc(h0, h1):
@@ -221,3 +232,113 @@ class TestSummary:
         assert method == "x"
         assert float(values[0]) == pytest.approx(1.0)
         assert len(values) == 4
+
+
+def per_row_reference(header, rows) -> bytes:
+    """A table as per-row f-strings format it: str cells as they are, floats
+    at .17g, "\n" after every line."""
+    cell = lambda v: v if isinstance(v, str) else f"{v:.17g}"
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows]).encode()
+
+
+EDGES = [-0.0, 5e-324, 1 / 3]  # a signed zero, the least subnormal, a 17-digit value
+
+
+class TestWriteTable:
+    def test_cells_of_every_part(self, tmp_path):
+        floats = [*EDGES, np.inf, -np.inf]
+        names = ["a", "b%s", "c%d", "d%%", "e"]
+        parts = [(f"{FLOAT_FMT},%s", [floats, names]), (f"%s,{FLOAT_FMT}", [["z"], [1 / 3]])]
+        write_table(tmp_path / "t.csv", ("x", "name"), parts)
+        rows = [*zip(floats, names), ("z", 1 / 3)]
+        assert (tmp_path / "t.csv").read_bytes() == per_row_reference(("x", "name"), rows)
+
+    def test_csv_layout(self, tmp_path):
+        curve = ridge_shrinker(np.array([1.0, 2.0]), 1.0, label="lappw")
+        columns = [1.0, 2.0], curve.values.tolist(), [curve.label] * 2
+        part = f"{FLOAT_FMT},{FLOAT_FMT},%s", columns
+        write_table(tmp_path / "c.csv", ("lambda", "value", "label"), [part])
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[0] == "lambda,value,label"
+        assert lines[1].endswith(",lappw")
+
+    def test_scores_csv(self, tmp_path):
+        labels = np.array([False, True, True])
+        fits = [
+            ScoreBlock(0, "b", labels, np.array(EDGES), np.array([np.inf, 1.0, -1.0])),
+            Failure(0, "c", "RegimeError", "forced"),
+            ScoreBlock(3, "a%s", labels[:1], np.array([2.5]), np.array([-0.0])),
+        ]
+        write_score_blocks(fits, tmp_path / "scores.csv")
+        rows = [
+            (str(b.trial), b.method, str(int(h1)), z, raw)
+            for b in fits if isinstance(b, ScoreBlock)
+            for h1, z, raw in zip(b.label_h1, b.score_z.tolist(), b.score_raw.tolist())
+        ]
+        expected = per_row_reference(ScoreBlock._fields, rows)
+        assert (tmp_path / "scores.csv").read_bytes() == expected
+
+    def test_roc_csv(self, tmp_path):
+        curves = [
+            RocCurve(
+                fpr=np.array([0.0, 5e-324, 1 / 3, 1.0]),
+                tpr=np.array([-0.0, 1 / 3, 0.5, 1.0]),
+                thresholds=np.array([np.inf, 1 / 3, -0.0, -np.inf]),
+                method="a",
+            ),
+            roc(EDGES, [1 / 3, 2.0], method="b"),
+        ]
+        write_roc_csv(curves, tmp_path / "roc.csv")
+        rows = [
+            (c.method, *point)
+            for c in curves
+            for point in zip(c.fpr.tolist(), c.tpr.tolist(), c.thresholds.tolist())
+        ]
+        expected = per_row_reference(("method", "fpr", "tpr", "threshold"), rows)
+        assert (tmp_path / "roc.csv").read_bytes() == expected
+
+    def test_summary_csv(self, tmp_path):
+        curves = [roc(EDGES, [1 / 3, 1.0], method="a"), roc([1 / 3, 0.0], EDGES, method="b")]
+        write_summary_csv(curves, tmp_path / "summary.csv")
+        rows = [
+            (c.method, auc(c), *(power_at_fpr(c, lvl) for lvl in POWER_LEVELS))
+            for c in curves
+        ]
+        header = ("method", "auc", "power_at_1e-1", "power_at_1e-2", "power_at_1e-4")
+        expected = per_row_reference(header, rows)
+        assert (tmp_path / "summary.csv").read_bytes() == expected
+
+    def test_curve_csv(self, tmp_path):
+        X = substream(1, "curve-csv").standard_normal((20, 60))
+        np.savetxt(tmp_path / "data.csv", X, delimiter=",", fmt="%.17g")
+        args = ["--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "o")]
+        assert main(["shrink", "--shrinker", "lappw", *args]) == 0
+        with single_threaded_blas():
+            fit = fit_reference(X)
+            curve = spectral_curve("lappw", fit, PriorSpec())
+        rows = zip(fit.curve.lam.tolist(), curve.values.tolist(), ["lappw"] * X.shape[0])
+        expected = per_row_reference(("lambda", "value", "label"), rows)
+        assert (tmp_path / "o" / "curve.csv").read_bytes() == expected
+
+    def test_oracle_csv(self, tmp_path):
+        assert main(["oracle", "--phi", "0.2", "--out", str(tmp_path)]) == 0
+        oracle = identity_mp_oracle(0.2)
+        a, b = oracle.support
+        xs = np.linspace(a + 1e-3 * (b - a), b - 1e-3 * (b - a), ORACLE_POINTS)
+        fstar = fstar_curve(oracle, np.ones_like, xs)
+        cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)
+        rows = zip(*(c.tolist() for c in cols))
+        expected = per_row_reference(("x", "w", "hw", "delta", "fstar"), rows)
+        assert (tmp_path / "oracle.csv").read_bytes() == expected
+
+    def test_percent_in_a_foreign_method_name(self, tmp_path):
+        name = "m%s%d%%.17g"
+        scores = tmp_path / "scores.csv"
+        rows = [(0, 0.1), (0, -0.5), (1, 2.0), (1, 0.3)]
+        lines = ["method,label_h1,score_z", *(f"{name},{h1},{z}" for h1, z in rows)]
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")]) == 0
+        roc_rows = (tmp_path / "o" / "roc.csv").read_text().splitlines()[1:]
+        assert roc_rows and {r.split(",")[0] for r in roc_rows} == {name}
+        (summary_row,) = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1:]
+        assert summary_row.split(",")[0] == name

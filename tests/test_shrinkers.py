@@ -579,13 +579,3 @@ class TestSimpleShrinkers:
     def test_hotelling_rejects_near_singular(self):
         with pytest.raises(DomainError):
             hotelling_shrinker(np.array([1e-22, 1.0]))
-
-
-class TestCurveSerialization:
-    def test_csv_layout(self, tmp_path):
-        curve = ridge_shrinker(np.array([1.0, 2.0]), 1.0, label="lappw")
-        path = tmp_path / "c.csv"
-        curve.to_csv(path, np.array([1.0, 2.0]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,value,label"
-        assert lines[1].endswith(",lappw")
