@@ -23,7 +23,7 @@ from .errors import (
     RegimeError,
 )
 from .evaluate import RocCurve, auc, power_at_fpr, render, roc
-from .linalg import Spectrum, eigh, sample_covariance
+from .linalg import eigh, sample_covariance
 from .mpkernel import (
     DensityOracle,
     LwCurve,

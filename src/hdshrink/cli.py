@@ -108,7 +108,7 @@ def _cmd_shrink(args) -> int:
     with single_threaded_blas():  # as in both drivers: bytes independent of BLAS
         if args.shrinker == "tyler":
             lam = eigh(tyler_estimator(X)).eigenvalues
-            curve = ShrinkageCurve(values=1.0 / lam, label="tyler")
+            curve = ShrinkageCurve(values=1.0 / lam)
         else:
             check_regime((args.shrinker,), *X.shape)
             fit = fit_reference(X)
@@ -116,7 +116,7 @@ def _cmd_shrink(args) -> int:
             lam, curve = fit.curve.lam, spectral_curve(args.shrinker, fit, prior)
     os.makedirs(args.out, exist_ok=True)  # after the fit: no directory on an error
     out_path = os.path.join(args.out, "curve.csv")
-    columns = lam.tolist(), curve.values.tolist(), [curve.label] * lam.size
+    columns = lam.tolist(), curve.values.tolist(), [args.shrinker] * lam.size
     fmt = f"{evaluate.FLOAT_FMT},{evaluate.FLOAT_FMT},%s"
     evaluate.write_table(out_path, ("lambda", "value", "label"), [(fmt, columns)])
     print(f"shrink: wrote {out_path}")
@@ -134,10 +134,13 @@ def _cmd_roc(args) -> int:
                 f"got {reader.fieldnames}"
             )
         for row in reader:
-            line, label, score = reader.line_num, row["label_h1"], row["score_z"]
+            line, method = reader.line_num, row["method"]
+            label, score = row["label_h1"], row["score_z"]
             if None in row or None in row.values():
                 width = len(reader.fieldnames)
                 raise ParseError(f"expected {width} fields", line=line)
+            if any(c in method for c in ',"\r\n'):  # roc.csv, summary.csv write it raw
+                raise ParseError(f"method {method!r} holds a comma, quote or newline", line=line)
             if label not in ("0", "1"):
                 raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
             try:
@@ -146,7 +149,7 @@ def _cmd_roc(args) -> int:
                 z = math.nan
             if not math.isfinite(z):
                 raise ParseError(f"score_z {score!r} is not finite", line=line)
-            by_method.setdefault(row["method"], ([], []))[int(label)].append(z)
+            by_method.setdefault(method, ([], []))[int(label)].append(z)
     if not by_method:
         raise DataError("scores file contains no rows")
     blocks = []  # one per method: its H0 scores, then its H1 scores

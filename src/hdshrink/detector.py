@@ -21,13 +21,12 @@ import math
 import numpy as np
 
 from .errors import DegenerateStatisticError, DimensionError
-from .linalg import Spectrum
 from .mpkernel import LwCurve
 
 GAUSSIAN_QF_VARIANCE_FACTOR = 2.0
 
 
-def squared_projection(Y, xbar, spec: Spectrum) -> np.ndarray:
+def squared_projection(Y, xbar, spec) -> np.ndarray:
     """Q = (U'(y - xbar))^2 for every column y of Y, U spec's eigenvectors:
     the same for every shrinker f, whose statistic is f @ Q."""
     Y = np.asarray(Y, dtype=float)
@@ -39,7 +38,7 @@ def squared_projection(Y, xbar, spec: Spectrum) -> np.ndarray:
     return np.square(proj, out=proj)
 
 
-def srht_many(Y, xbar, spec: Spectrum, curve_values) -> np.ndarray:
+def srht_many(Y, xbar, spec, curve_values) -> np.ndarray:
     """Quadratic-form statistic (y - xbar)' f(S) (y - xbar) for every
     column y of Y.
 

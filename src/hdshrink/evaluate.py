@@ -208,6 +208,8 @@ def render(curves, out_dir, log_fpr: bool = False):
     ]
     for i, c in enumerate(corners):
         color = _PALETTE[i % len(_PALETTE)]
+        # a foreign name may hold markup; xml.sax.saxutils.escape pulls in urllib
+        name = c.method.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         px, py = _svg_coords(c.fpr, c.tpr, log_fpr)
         pts = " ".join(
             f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())
@@ -218,7 +220,7 @@ def render(curves, out_dir, log_fpr: bool = False):
         )
         parts.append(
             f'<text x="{_W - _M - 150}" y="{_M + 16 + 16 * i}" font-size="12" '
-            f'fill="{color}">{c.method}</text>'
+            f'fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
     with open(svg_path, "w", encoding="utf-8") as fh:

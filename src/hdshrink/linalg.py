@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,19 +84,6 @@ def validate_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigen-pairs of a symmetric p x p matrix.
-
-    eigenvalues are ascending; eigenvectors holds the matching orthonormal
-    columns with LAPACK's signs.  Every statistic squares the projection on
-    a column, so its sign does not matter.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def sample_covariance(X: np.ndarray) -> np.ndarray:
     """Bessel-corrected sample covariance of the columns of X (p x n)."""
     X = validate_data_matrix(X)
@@ -107,19 +93,20 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return centered @ centered.T / (n - 1)
 
 
-def eigh(S: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-    LAPACK reads only the lower triangle of S: every producer is exactly
-    symmetric, so S is decomposed as validated, with no (S + S') / 2 copy."""
+def eigh(S: np.ndarray):
+    """numpy's EighResult of a symmetric S: eigenvalues ascending, eigenvectors
+    the matching orthonormal columns with LAPACK's signs, which no statistic
+    reads, as each squares a projection on a column.  LAPACK reads only the
+    lower triangle of S: every producer is exactly symmetric, so S is
+    decomposed as validated, with no (S + S') / 2 copy."""
     S = validate_symmetric(S)
     try:
-        vals, vecs = np.linalg.eigh(S)
+        return np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigensolver failed on {S.shape[0]}x{S.shape[0]} matrix "
             f"(trace={np.trace(S):.6g}, max|entry|={np.abs(S).max():.6g}): {exc}"
         ) from exc
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ either driver's config file into its dataclass.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,6 @@ import numpy as np
 from . import detector, shrinkers
 from .errors import ConfigError, RegimeError
 from .linalg import (
-    Spectrum,
     cholesky,
     eigh,
     inverse_quadratic_forms,
@@ -35,8 +33,6 @@ from .linalg import (
     single_threaded_blas,
 )
 from .mpkernel import LwCurve, lw_curve
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("proposed", "lw", "lappw", "tyler", "cq", "hotelling", "identity")
 SPECTRAL_METHODS = ("proposed", "lw", "lappw", "hotelling", "identity")
@@ -54,7 +50,7 @@ class FittedReference:
         self.X, self.xbar, self._memo = X, X.mean(axis=1), {}
 
     @property
-    def spec(self) -> Spectrum:
+    def spec(self):
         if "spec" not in self._memo:
             self._memo["spec"] = eigh(sample_covariance(self.X))
         return self._memo["spec"]
@@ -168,7 +164,7 @@ def spectral_curve(method, fit, prior):
         return shrinkers.lw_comparator(curve)
     if method == "lappw":
         b = shrinkers.lappw_select_b(curve, prior)
-        return shrinkers.ridge_shrinker(curve.lam, b, label="lappw")
+        return shrinkers.ridge_shrinker(curve.lam, b)
     if method == "hotelling":
         return shrinkers.hotelling_shrinker(curve.lam)
     if method == "identity":
@@ -238,7 +234,6 @@ class ScoreBlock(NamedTuple):
 
 
 def _failure(trial: int, method, exc) -> Failure:
-    logger.warning("trial %d: method %s failed: %s", trial, method, exc)
     return Failure(trial, method, type(exc).__name__, str(exc))
 
 

@@ -35,17 +35,16 @@ ORACLE_GRID_POINTS = 4001  # pv_hilbert nodes under fstar_curve
 
 @dataclass(frozen=True)
 class ShrinkageCurve:
-    """Nonnegative per-eigenvalue precision values f(lam_i) plus a label."""
+    """Nonnegative per-eigenvalue precision values f(lam_i)."""
 
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
-            raise NumericError(f"shrinkage curve {self.label!r} has non-finite values")
+            raise NumericError("shrinkage curve has non-finite values")
         if np.any(v < 0):
-            raise NumericError(f"shrinkage curve {self.label!r} has negative values")
+            raise NumericError("shrinkage curve has negative values")
         object.__setattr__(self, "values", v)
 
 
@@ -100,7 +99,7 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec) -> ShrinkageCurve:
     xi_n = (g_n * g_n * hbar + g_n * Gbar_n * H_n) / denom
     eta_n = (Gbar_n * Gbar_n * H_n + Gbar_n * g_n * hbar) / denom
     f = xi_n - (eta_n @ K) / p
-    return ShrinkageCurve(values=np.maximum(f, 0.0), label="proposed")
+    return ShrinkageCurve(values=np.maximum(f, 0.0))
 
 
 def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
@@ -143,15 +142,15 @@ def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
 
 def lw_comparator(curve: LwCurve) -> ShrinkageCurve:
     """Nonlinear-shrinkage baseline: reciprocal of the shrinkage curve."""
-    return ShrinkageCurve(values=1.0 / curve.d_tilde, label="lw")
+    return ShrinkageCurve(values=1.0 / curve.d_tilde)
 
 
-def ridge_shrinker(lam, b: float, label: str = "ridge") -> ShrinkageCurve:
+def ridge_shrinker(lam, b: float) -> ShrinkageCurve:
     """Linear-shrinkage precision values 1 / (lam_i + b)."""
     if b <= 0:
         raise DomainError(f"ridge intercept must be positive, got {b}")
     lam = np.asarray(lam, dtype=float)
-    return ShrinkageCurve(values=1.0 / (lam + b), label=label)
+    return ShrinkageCurve(values=1.0 / (lam + b))
 
 
 def lappw_select_b(curve: LwCurve, prior: PriorSpec) -> float:
@@ -288,10 +287,10 @@ def identity_shrinker(p: int) -> ShrinkageCurve:
     """Trivial all-ones curve: the statistic reduces to ||y - xbar||^2."""
     if p < 1:
         raise DimensionError(f"dimension must be positive, got {p}")
-    return ShrinkageCurve(values=np.ones(p), label="identity")
+    return ShrinkageCurve(values=np.ones(p))
 
 
 def hotelling_shrinker(lam) -> ShrinkageCurve:
     """Classical plug-in inverse 1 / lam_i of a spectrum that passes
     check_spectrum."""
-    return ShrinkageCurve(values=1.0 / check_spectrum(lam), label="hotelling")
+    return ShrinkageCurve(values=1.0 / check_spectrum(lam))

@@ -13,7 +13,7 @@ def spd_root(Sigma):
 
 
 def spectral_matrix(spec, c):
-    """sum_i c_i u_i u_i' on the eigenvectors of an eigh Spectrum, symmetrized."""
+    """sum_i c_i u_i u_i' on the eigenvectors of an eigh result, symmetrized."""
     M = (spec.eigenvectors * c) @ spec.eigenvectors.T
     return (M + M.T) / 2.0
 

@@ -295,7 +295,7 @@ class TestSimulateCommand:
         self, tmp_path, config_path, monkeypatch
     ):
         def zero_shrinker(curve, prior):
-            return ShrinkageCurve(values=np.zeros(curve.p), label="proposed")
+            return ShrinkageCurve(values=np.zeros(curve.p))
 
         monkeypatch.setattr(hdshrink.shrinkers, "proposed_shrinker", zero_shrinker)
         out = tmp_path / "run"
@@ -729,6 +729,33 @@ class TestRocCommand:
         code = main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "data error: line 3: " in capsys.readouterr().err
+
+    def test_markup_in_a_method_name_is_escaped_in_the_svg(self, tmp_path):
+        name = "a&<b"
+        rows = [(0, 0.1), (0, -0.5), (1, 2.0), (1, 0.3)]
+        scores = tmp_path / "scores.csv"
+        lines = ["method,label_h1,score_z", *(f"{name},{h1},{z}" for h1, z in rows)]
+        scores.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["roc", "--scores", str(scores), "--out", str(out)]) == 0
+        svg = ET.parse(out / "roc.svg")
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == name  # the legend's one entry
+
+    @pytest.mark.parametrize(
+        "field, line",
+        [('"a,b"', 3), ('"a""b"', 3), ('"a\nb"', 4), ('"a\rb"', 4)],
+    )
+    def test_method_name_csv_would_quote_exits_3_with_line(
+        self, tmp_path, capsys, field, line
+    ):
+        scores = tmp_path / "scores.csv"
+        text = f"method,label_h1,score_z\nok,0,0.5\n{field},1,1.5\n"
+        scores.write_text(text, newline="")
+        out = tmp_path / "o"
+        assert main(["roc", "--scores", str(scores), "--out", str(out)]) == 3
+        assert f"data error: line {line}: method " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_method_lacking_a_hypothesis_exits_3_naming_it(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

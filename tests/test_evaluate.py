@@ -254,8 +254,8 @@ class TestWriteTable:
         assert (tmp_path / "t.csv").read_bytes() == per_row_reference(("x", "name"), rows)
 
     def test_csv_layout(self, tmp_path):
-        curve = ridge_shrinker(np.array([1.0, 2.0]), 1.0, label="lappw")
-        columns = [1.0, 2.0], curve.values.tolist(), [curve.label] * 2
+        curve = ridge_shrinker(np.array([1.0, 2.0]), 1.0)
+        columns = [1.0, 2.0], curve.values.tolist(), ["lappw"] * 2
         part = f"{FLOAT_FMT},{FLOAT_FMT},%s", columns
         write_table(tmp_path / "c.csv", ("lambda", "value", "label"), [part])
         lines = (tmp_path / "c.csv").read_text().splitlines()

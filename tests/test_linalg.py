@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdshrink.errors import DataError, DimensionError
+from hdshrink.errors import DataError, DimensionError, NumericError
 from hdshrink.linalg import eigh, forward_substitute, load_matrix, sample_covariance
 from hdshrink.shrinkers import tyler_estimator
 
@@ -99,6 +99,23 @@ class TestEigh:
         S[0, 1] += 1e-14
         spec = eigh(S)
         assert np.allclose(spec.eigenvalues, 1.0)
+
+    def test_returns_numpys_result_unchanged(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6))
+        S = (A + A.T) / 2.0
+        spec, reference = eigh(S), np.linalg.eigh(S)
+        assert type(spec) is type(reference)
+        assert spec.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+
+    def test_lapack_failure_is_a_numeric_error(self, monkeypatch):
+        def failing(S):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericError, match="eigensolver failed on 3x3 matrix"):
+            eigh(np.eye(3))
 
 
 class TestApplySpectral:

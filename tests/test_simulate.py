@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -332,6 +333,24 @@ class TestRunTrials:
         assert fits[:2] == [failure, failure._replace(method="lw")]
         assert [type(f) for f in fits[2:]] == [ScoreBlock, ScoreBlock]
         assert calls == [40, 40]  # a failed read is not kept: each method retries
+
+    def test_failure_is_returned_not_logged(self, monkeypatch, caplog):
+        def failing(method, fit, prior):
+            def score(Y):
+                raise DomainError("forced scoring failure")
+
+            return score if method == "cq" else build_scorer(method, fit, prior)
+
+        build_scorer = hdshrink.scoring.build_scorer
+        monkeypatch.setattr(hdshrink.scoring, "build_scorer", failing)
+        caplog.set_level(logging.DEBUG)
+        cfg = ExperimentConfig(p=12, n=40, seed=15, methods=("identity", "cq"))
+        rng = substream(15, "not-logged")
+        X, Y = rng.standard_normal((12, 40)), rng.standard_normal((12, 6))
+        fits = hdshrink.scoring.fit_and_score(cfg, X, [Y], np.arange(6) >= 3, trial=2)
+        assert fits[1] == Failure(2, "cq", "DomainError", "forced scoring failure")
+        assert isinstance(fits[0], ScoreBlock)
+        assert caplog.records == []
 
     def test_h0_scores_finite_across_methods(self):
         cfg = ExperimentConfig(
