@@ -34,7 +34,7 @@ from .scoring import (
     spectral_curve,
     worker_count,
 )
-from .shrinkers import PriorSpec, ShrinkageCurve, fstar_curve, tyler_estimator
+from .shrinkers import PriorSpec, fstar_curve, tyler_estimator
 from .simulate import calibrate_gamma, load_config, make_covariance, run_trials
 
 ORACLE_POINTS = 200  # rows of oracle.csv
@@ -108,7 +108,7 @@ def _cmd_shrink(args) -> int:
     with single_threaded_blas():  # as in both drivers: bytes independent of BLAS
         if args.shrinker == "tyler":
             lam = eigh(tyler_estimator(X)).eigenvalues
-            curve = ShrinkageCurve(values=1.0 / lam)
+            curve = shrinkers.hotelling_shrinker(lam)
         else:
             check_regime((args.shrinker,), *X.shape)
             fit = fit_reference(X)

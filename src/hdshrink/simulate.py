@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .evaluate import power_at_fpr, roc, write_score_blocks
 from .linalg import eigh, single_threaded_blas
 from .scoring import (
@@ -48,7 +48,7 @@ class ExperimentConfig:
     p: int = 200
     n: int = 300
     kappa: float = 100.0
-    gamma: float | None = None  # None -> calibrated from pilot trials
+    gamma: float | None = None  # None -> calibrate_gamma resolves it
     prior: PriorSpec = field(default_factory=PriorSpec)
     trials: int = 100
     tests_per_trial_h0: int = 50
@@ -61,8 +61,6 @@ class ExperimentConfig:
         for name in ("trials", "tests_per_trial_h0", "tests_per_trial_h1"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not 1.0 <= self.kappa < np.inf:
-            raise ConfigError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.component_dist not in COMPONENT_DISTS:
             raise ConfigError(
                 f"component_dist must be one of {COMPONENT_DISTS}, "
@@ -119,8 +117,8 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
             f"eigenvalue recipe needs p >= 42 (got p={p}); library callers "
             "can pass their own Sigma= to run_trials"
         )
-    if kappa < 1.0:
-        raise ConfigError(f"condition number must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < np.inf:
+        raise ConfigError(f"kappa must be finite and >= 1, got {kappa}")
     spikes = kappa ** (np.arange(1, 41) / 40.0)
     bulk = 10.0 ** ((np.arange(1, p - 39) - 1) / (40.0 * (p - 41)))
     lam = np.concatenate([spikes, bulk])
@@ -128,6 +126,12 @@ def make_covariance(p: int, kappa: float, seed: int) -> np.ndarray:
         Q = _haar(substream(seed, "covariance"), p)
         M = (Q * lam) @ Q.T
     return (M + M.T) / 2.0
+
+
+def _check_sigma(cfg: ExperimentConfig, Sigma) -> None:
+    """Sigma must be the cfg.p x cfg.p covariance that cfg describes."""
+    if np.shape(Sigma) != (cfg.p, cfg.p):
+        raise DimensionError(f"Sigma has shape {np.shape(Sigma)}, but p = {cfg.p}")
 
 
 def _spd_root(Sigma: np.ndarray) -> np.ndarray:
@@ -190,6 +194,7 @@ def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
     the H1 quadratic in gamma (see _oracle_pilot_terms).  BLAS runs at one
     thread, so the result does not depend on its thread count.
     """
+    _check_sigma(cfg, Sigma)
     with single_threaded_blas():
         root = _spd_root(Sigma)
         h0, A, B, C = _oracle_pilot_terms(cfg, root, np.linalg.inv(Sigma))
@@ -213,7 +218,7 @@ def calibrate_gamma(cfg: ExperimentConfig, Sigma) -> float:
     return hi
 
 
-def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
+def _run_one_trial(cfg: ExperimentConfig, root, t: int) -> TrialOutput:
     def draw(role, count):
         rng = substream(cfg.seed, "trial", t, role)
         return _draw(rng, root, cfg.component_dist, count)
@@ -222,28 +227,26 @@ def _run_one_trial(cfg: ExperimentConfig, root, gamma, t: int) -> TrialOutput:
     Y0 = draw("test_h0", cfg.tests_per_trial_h0)
     Y1 = draw("test_h1", cfg.tests_per_trial_h1)
     rng_sig = substream(cfg.seed, "trial", t, "signal")
-    Y1 = Y1 + _signal(rng_sig, root, cfg.prior, gamma, cfg.tests_per_trial_h1)
+    Y1 = Y1 + _signal(rng_sig, root, cfg.prior, cfg.gamma, cfg.tests_per_trial_h1)
 
     labels = np.repeat([False, True], [Y0.shape[1], Y1.shape[1]])
     return TrialOutput(fit_and_score(cfg, X, (Y0, Y1), labels, t))
 
 
-def run_trials(cfg: ExperimentConfig, Sigma=None, threads: int | None = None):
-    """Run the configured Monte-Carlo trials; deterministic given the seed.
-
-    Sigma defaults to make_covariance(cfg.p, cfg.kappa, cfg.seed); pass an
-    explicit matrix to override the recipe.  The trials run through
+def run_trials(cfg: ExperimentConfig, Sigma, threads: int | None = None):
+    """Run the configured Monte-Carlo trials on the cfg.p x cfg.p covariance
+    Sigma at the resolved signal norm cfg.gamma (see calibrate_gamma);
+    deterministic given the seed.  The trials run through
     scoring.map_indices (threads=None: one worker per core) with BLAS at
     one thread, as do the covariance recipe, its root and the gamma
     calibration, so the scores depend on neither thread count.
     """
-    if Sigma is None:
-        Sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
+    if cfg.gamma is None:
+        raise ConfigError("gamma is unset: resolve it with calibrate_gamma(cfg, Sigma)")
+    _check_sigma(cfg, Sigma)
     with single_threaded_blas():
         root = _spd_root(Sigma)
-    gamma = cfg.gamma if cfg.gamma is not None else calibrate_gamma(cfg, Sigma)
-    task = lambda t: _run_one_trial(cfg, root, gamma, t)
-    return map_indices(task, cfg.trials, threads)
+    return map_indices(lambda t: _run_one_trial(cfg, root, t), cfg.trials, threads)
 
 
 def write_scores_csv(outputs, path) -> None:

@@ -37,6 +37,7 @@ from hdshrink.shrinkers import (
 )
 from hdshrink.simulate import (
     ExperimentConfig,
+    calibrate_gamma,
     make_covariance,
     run_trials,
     substream,
@@ -233,7 +234,8 @@ def test_criterion_7_roc_ordering():
             seed=7,
         )
         sigma = make_covariance(cfg.p, cfg.kappa, cfg.seed)
-        outputs = run_trials(cfg, Sigma=sigma, threads=8)
+        resolved = dataclasses.replace(cfg, gamma=calibrate_gamma(cfg, sigma))
+        outputs = run_trials(resolved, Sigma=sigma, threads=8)
         curves = pooled_rocs([f for o in outputs for f in o.fits])
         results[kappa] = {c.method: auc(c) for c in curves}
     ok = all(set(aucs) == set(cfg.methods) for aucs in results.values())  # none failed

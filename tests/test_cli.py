@@ -58,12 +58,14 @@ BAD_METHOD_OPTIONS = [
 ]
 
 
-# (key, value) that must fail at parse time, not in the run.
+# (key, value) that must exit 2 before anything is written: kappa at the
+# covariance recipe, the others at parse time.
 BAD_NUMBERS = [
     ("gamma", "nan"),
     ("gamma", "inf"),
     ("kappa", "nan"),
     ("kappa", "inf"),
+    ("kappa", "0.5"),
     ("prior.scale", "nan"),
     ("prior.scale", "inf"),
     ("tests_per_trial_h0", "0"),

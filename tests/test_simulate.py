@@ -13,7 +13,7 @@ import hdshrink.shrinkers
 import hdshrink.simulate
 from hdshrink.cli import main
 from hdshrink.detector import Standardizer, srht_many
-from hdshrink.errors import ConfigError, DataError, DomainError, RegimeError
+from hdshrink.errors import ConfigError, DataError, DimensionError, DomainError, RegimeError
 from hdshrink.linalg import blas_thread_control, sample_covariance
 from hdshrink.rss import RssExperimentConfig, RssSeries, rss_experiment
 from hdshrink.scoring import METHODS, Failure, ScoreBlock, parse_config
@@ -70,6 +70,11 @@ class TestMakeCovariance:
     def test_small_p_rejected_with_hint(self):
         with pytest.raises(ConfigError, match="needs p >= 42 .* Sigma= to run_trials"):
             make_covariance(41, 10.0, seed=0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.5])
+    def test_kappa_outside_one_to_infinity_rejected(self, kappa):
+        with pytest.raises(ConfigError, match=f"kappa must be finite and >= 1, got {kappa}"):
+            make_covariance(50, kappa, seed=0)
 
     def test_blas_pinned_and_restored(self, monkeypatch):
         control = blas_thread_control()
@@ -163,6 +168,19 @@ class TestRunTrials:
         assert all(isinstance(f, ScoreBlock) for f in out.fits)
         assert len(calls) == 1
 
+    def test_unresolved_gamma_rejected_before_any_draw(self, monkeypatch):
+        sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
+        calls = []
+        monkeypatch.setattr(hdshrink.simulate, "substream", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="calibrate_gamma"):
+            run_trials(dataclasses.replace(SMALL, gamma=None), Sigma=sigma)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [run_trials, calibrate_gamma])
+    def test_sigma_must_match_p(self, run):
+        with pytest.raises(DimensionError, match=r"shape \(60, 60\), but p = 50"):
+            run(SMALL, Sigma=np.eye(60))
+
     def test_identity_method_reduces_to_squared_distance(self):
         cfg = ExperimentConfig(
             p=50,
@@ -233,13 +251,14 @@ class TestRunTrials:
             def failing(*args):
                 raise RuntimeError("trial failed")
 
+            sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
             monkeypatch.setattr(hdshrink.simulate, "fit_and_score", spy)
-            run_trials(SMALL, threads=2)
+            run_trials(SMALL, Sigma=sigma, threads=2)
             assert seen == [1] * SMALL.trials
             assert get() == before
             monkeypatch.setattr(hdshrink.simulate, "fit_and_score", failing)
             with pytest.raises(RuntimeError):
-                run_trials(SMALL, threads=2)
+                run_trials(SMALL, Sigma=sigma, threads=2)
             assert get() == before
         finally:
             set_(original)
@@ -256,16 +275,17 @@ class TestRunTrials:
         activity = np.arange(60) % 10 == 0
         series = RssSeries(np.arange(60.0), rng.standard_normal((60, 3)), activity)
         rss_cfg = RssExperimentConfig(n=20, resamples=5, methods=("cq",))
+        sigma = make_covariance(SMALL.p, SMALL.kappa, SMALL.seed)
 
         monkeypatch.setattr(hdshrink.scoring, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(hdshrink.scoring.os, "cpu_count", lambda: 2)
-        run_trials(SMALL, threads=8)
+        run_trials(SMALL, Sigma=sigma, threads=8)
         rss_experiment(series, rss_cfg, threads=8)
-        run_trials(SMALL)  # default: the core count
+        run_trials(SMALL, Sigma=sigma)  # default: the core count
         monkeypatch.setattr(hdshrink.scoring.os, "cpu_count", lambda: 16)
-        run_trials(SMALL, threads=8)
+        run_trials(SMALL, Sigma=sigma, threads=8)
         rss_experiment(series, rss_cfg, threads=8)
-        run_trials(SMALL)
+        run_trials(SMALL, Sigma=sigma)
         rss_experiment(series, rss_cfg)
         assert sizes == [2, 2, 2, SMALL.trials, 5, SMALL.trials, 5]
 
