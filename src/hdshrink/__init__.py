@@ -37,7 +37,6 @@ from .rss import RssExperimentConfig, RssSeries, detrend, load_rss, rss_experime
 from .shrinkers import (
     PriorSpec,
     ShrinkageCurve,
-    fstar_curve,
     hbar_values,
     hotelling_shrinker,
     identity_shrinker,

@@ -34,7 +34,7 @@ from .scoring import (
     spectral_curve,
     worker_count,
 )
-from .shrinkers import PriorSpec, fstar_curve, tyler_estimator
+from .shrinkers import PriorSpec, tyler_estimator
 from .simulate import calibrate_gamma, load_config, make_covariance, run_trials
 
 ORACLE_POINTS = 200  # rows of oracle.csv
@@ -124,32 +124,36 @@ def _cmd_shrink(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    by_method = {}
+    by_method = {}  # method -> (its H0 scores, its H1 scores), in file order
     with open(args.scores, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         needed = {"method", "label_h1", "score_z"}
-        if not needed.issubset(reader.fieldnames or ()):
-            raise DataError(
-                f"scores file must have columns {sorted(needed)}, "
-                f"got {reader.fieldnames}"
-            )
+        if not needed.issubset(header or ()):
+            raise DataError(f"scores file must have columns {sorted(needed)}, got {header}")
+        col = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        im, il, iz, width = col["method"], col["label_h1"], col["score_z"], len(header)
         for row in reader:
-            line, method = reader.line_num, row["method"]
-            label, score = row["label_h1"], row["score_z"]
-            if None in row or None in row.values():
-                width = len(reader.fieldnames)
-                raise ParseError(f"expected {width} fields", line=line)
-            if any(c in method for c in ',"\r\n'):  # roc.csv, summary.csv write it raw
-                raise ParseError(f"method {method!r} holds a comma, quote or newline", line=line)
+            if not row:  # a blank line
+                continue
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields", line=reader.line_num)
+            method, label, score = row[im], row[il], row[iz]
+            scores = by_method.get(method)
+            if scores is None:
+                if any(c in method for c in ',"\r\n'):  # roc.csv, summary.csv write it raw
+                    msg = f"method {method!r} holds a comma, quote or newline"
+                    raise ParseError(msg, line=reader.line_num)
+                scores = by_method[method] = ([], [])
             if label not in ("0", "1"):
-                raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
+                raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=reader.line_num)
             try:
                 z = float(score)
             except ValueError:
                 z = math.nan
             if not math.isfinite(z):
-                raise ParseError(f"score_z {score!r} is not finite", line=line)
-            by_method.setdefault(method, ([], []))[int(label)].append(z)
+                raise ParseError(f"score_z {score!r} is not finite", line=reader.line_num)
+            scores[label == "1"].append(z)
     if not by_method:
         raise DataError("scores file contains no rows")
     blocks = []  # one per method: its H0 scores, then its H1 scores
@@ -165,13 +169,11 @@ def _cmd_oracle(args) -> int:
     a, b = oracle.support
     margin = 1e-3 * (b - a)
     xs = np.linspace(a + margin, b - margin, ORACLE_POINTS)
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    fstar = fstar_curve(oracle, ones, xs)
-    cols = [c.tolist() for c in (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)]
+    cols = [c.tolist() for c in (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs))]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle.csv")
     part = ",".join([evaluate.FLOAT_FMT] * len(cols)), cols
-    evaluate.write_table(path, ("x", "w", "hw", "delta", "fstar"), [part])
+    evaluate.write_table(path, ("x", "w", "hw", "delta"), [part])
     print(f"oracle: wrote {path}")
     return 0
 
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roc.add_argument("--log-fpr", action="store_true")
     p_roc.set_defaults(func=_cmd_roc)
 
-    p_orc = sub.add_parser("oracle", help="identity-model density/shrinker tables")
+    p_orc = sub.add_parser("oracle", help="identity-model density and shrinkage-limit table")
     p_orc.add_argument("--out", default="out")
     p_orc.add_argument("--phi", type=float, required=True)
     p_orc.set_defaults(func=_cmd_oracle)

@@ -1,7 +1,8 @@
 """Semicircular-kernel estimation of the limiting spectral density, its
 Hilbert transform, and the nonlinear shrinkage curve built from them, plus
-the closed-form oracle of the identity model and the principal-value
-quadrature rule that shrinkers.fstar_curve uses.
+the closed-form oracle of the identity model, whose delta is lw_curve's
+shrinkage formula at the exact density, and a principal-value quadrature
+rule, the reference the acceptance suite holds the kernel transform to.
 
 Conventions: the Hilbert transform carries the 1/pi factor,
 Hf(x) = pi^{-1} p.v. integral f(t) / (t - x) dt, and the kernel pair is

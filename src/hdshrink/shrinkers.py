@@ -1,8 +1,7 @@
-"""Precision-shrinkage curve constructions: the criterion-optimal shrinker,
-its deterministic-limit oracle, and the comparator estimators (nonlinear
-reciprocal, ridge whose intercept a zooming log-grid search picks to
-maximize the criterion, regularized scatter fixed point, identity,
-classical inverse).
+"""Precision-shrinkage curve constructions: the criterion-optimal shrinker
+and the comparator estimators (nonlinear reciprocal, ridge whose intercept
+a zooming log-grid search picks to maximize the criterion, regularized
+scatter fixed point, identity, classical inverse).
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ from .errors import (
     RegimeError,
 )
 from .linalg import cholesky, inverse_quadratic_forms
-from .mpkernel import DensityOracle, LwCurve, check_spectrum, pv_hilbert
+from .mpkernel import LwCurve, check_spectrum
 
 PRIOR_MODES = ("identity", "covariance_matched")
 LAPPW_GRID = 10_000  # log-spaced intercepts lappw_select_b searches
 LAPPW_POINTS = 33  # evaluated per round; at most 4 rounds cover LAPPW_GRID
 TYLER_TOL = 1e-8  # relative Frobenius change that stops tyler_estimator
 TYLER_DEPTH = 5  # differences tyler_estimator's Anderson mixing keeps
-ORACLE_GRID_POINTS = 4001  # pv_hilbert nodes under fstar_curve
 
 
 @dataclass(frozen=True)
@@ -100,44 +98,6 @@ def proposed_shrinker(curve: LwCurve, prior: PriorSpec) -> ShrinkageCurve:
     eta_n = (Gbar_n * Gbar_n * H_n + Gbar_n * g_n * hbar) / denom
     f = xi_n - (eta_n @ K) / p
     return ShrinkageCurve(values=np.maximum(f, 0.0))
-
-
-def fstar_curve(oracle: DensityOracle, hbar, xs) -> np.ndarray:
-    """Limiting optimal shrinker at the points xs, strictly inside the
-    support, for the prior weight function hbar (a callable on arrays).
-
-    f* = (g^2 h + g G H) / a - H[(G^2 H + G g h) / a], with g and the
-    denominator a = x delta from the oracle's closed forms.  The two
-    remaining Hilbert transforms, of hbar w and of the bracket, come from
-    pv_hilbert on ORACLE_GRID_POINTS nodes that span the support padded by
-    a quarter of its width on each side: at the nodes inside the support
-    for the bracket, and at xs directly.
-
-    Identity model, hbar = 1: delta = 1 on the support, the bracket's
-    transform is Re(phi^2 x m^2 - phi (1 - phi) m) with m = pi (Hw + i w),
-    and f* = 1 - phi pi Hw (g + phi pi x Hw - (1 - phi)) = 1.
-    """
-    xs = np.asarray(xs, dtype=float)
-    a, b = oracle.support
-    if np.any(xs <= a) or np.any(xs >= b):
-        raise DomainError("all evaluation points must lie strictly inside the support")
-    phi = oracle.phi
-    pad = 0.25 * (b - a)
-    grid = np.linspace(a - pad, b + pad, ORACLE_GRID_POINTS)
-    w, hb = oracle.w(grid), hbar(grid)
-    inside = w > 0.0
-    t = grid[inside]
-    g = 1.0 - phi - phi * np.pi * t * oracle.Hw(t)
-    H = pv_hilbert(hb * w, grid, t)
-    # (G^2 H + G g h) / a reduces to w * (phi pi) * (phi pi x H - g hbar) / delta
-    q = np.zeros_like(grid)
-    q[inside] = phi * np.pi * w[inside] * (phi * np.pi * t * H - g * hb[inside])
-    q[inside] /= oracle.delta(t)
-    delta_x = oracle.delta(xs)
-    g_x = 1.0 - phi - phi * np.pi * xs * oracle.Hw(xs)
-    term1 = g_x * g_x * hbar(xs) / (xs * delta_x)
-    term1 -= phi * np.pi * g_x * pv_hilbert(hb * w, grid, xs) / delta_x
-    return term1 - pv_hilbert(q, grid, xs)
 
 
 def lw_comparator(curve: LwCurve) -> ShrinkageCurve:

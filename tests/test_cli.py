@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +15,10 @@ import hdshrink.linalg
 import hdshrink.scoring
 import hdshrink.shrinkers
 from hdshrink.cli import main
-from hdshrink.errors import DegenerateStatisticError
+from hdshrink.errors import DataError, DegenerateStatisticError, ParseError
+from hdshrink.evaluate import pooled_rocs
 from hdshrink.rss import RssSeries, load_rss
-from hdshrink.scoring import SPECTRAL_METHODS
+from hdshrink.scoring import SPECTRAL_METHODS, ScoreBlock
 from hdshrink.shrinkers import PriorSpec, ShrinkageCurve, proposed_shrinker
 from hdshrink.simulate import substream
 
@@ -783,6 +786,105 @@ class TestRocCommand:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def _roc_dict_reader(args) -> int:
+    """`hdshrink roc` as it read its rows through csv.DictReader, a dict per
+    row, before it read them with csv.reader in one pass."""
+    by_method = {}
+    with open(args.scores, "r", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        needed = {"method", "label_h1", "score_z"}
+        if not needed.issubset(reader.fieldnames or ()):
+            raise DataError(
+                f"scores file must have columns {sorted(needed)}, "
+                f"got {reader.fieldnames}"
+            )
+        for row in reader:
+            line, method = reader.line_num, row["method"]
+            label, score = row["label_h1"], row["score_z"]
+            if None in row or None in row.values():
+                width = len(reader.fieldnames)
+                raise ParseError(f"expected {width} fields", line=line)
+            if any(c in method for c in ',"\r\n'):
+                raise ParseError(f"method {method!r} holds a comma, quote or newline", line=line)
+            if label not in ("0", "1"):
+                raise ParseError(f"label_h1 {label!r} is not 0 or 1", line=line)
+            try:
+                z = float(score)
+            except ValueError:
+                z = math.nan
+            if not math.isfinite(z):
+                raise ParseError(f"score_z {score!r} is not finite", line=line)
+            by_method.setdefault(method, ([], []))[int(label)].append(z)
+    if not by_method:
+        raise DataError("scores file contains no rows")
+    blocks = []
+    for m, (h0, h1) in by_method.items():
+        labels = np.repeat([False, True], [len(h0), len(h1)])
+        blocks.append(ScoreBlock(0, m, labels, np.array(h0 + h1), None))
+    hdshrink.cli._write_rocs("roc", pooled_rocs(blocks), args.out, log_fpr=args.log_fpr)
+    return 0
+
+
+# Two methods with both hypotheses, one row per line: a file `roc` accepts.
+_ROC_ROWS = ["a,0,0.1", "a,1,2.0", "a,0,-0.5", "a,1,0.3", "b,0,0.4", "b,1,1.2"]
+
+# One scores file per case of the reader's contract, each written with
+# newline="" so that its bytes are exactly these.
+ROC_READER_CASES = {
+    "crlf": "method,label_h1,score_z\r\n" + "".join(r + "\r\n" for r in _ROC_ROWS),
+    "blank lines": "method,label_h1,score_z\n\n" + "\n\n".join(_ROC_ROWS) + "\n\n\n",
+    "bad label after blank lines": "method,label_h1,score_z\na,0,0.1\n\n\na,2,0.2\n",
+    "blank line before the header": "\nmethod,label_h1,score_z\n" + "\n".join(_ROC_ROWS),
+    "extra quoted column with a comma": "method,label_h1,score_z,note\n"
+    + "".join(f'{r},"x,y"\n' for r in _ROC_ROWS),
+    "permuted columns": "score_z,method,label_h1\n"
+    + "".join(",".join((z, m, h)) + "\n" for m, h, z in (r.split(",") for r in _ROC_ROWS)),
+    "repeated score_z header": "method,score_z,label_h1,score_z\n"
+    + "".join(f"{m},junk,{h},{z}\n" for m, h, z in (r.split(",") for r in _ROC_ROWS)),
+    "quoted fields": "method,label_h1,score_z\n"
+    + "".join(",".join(f'"{c}"' for c in r.split(",")) + "\n" for r in _ROC_ROWS),
+    "quoted name with a newline": 'method,label_h1,score_z\nok,0,0.5\n"a\nb",1,1.5\n',
+    "bad label, then a short row": "method,label_h1,score_z\na,0,0.1\na,2,0.2\na,1\n",
+    "short row, then a bad label": "method,label_h1,score_z\na,0,0.1\na,1\na,2,0.2\n",
+    "long row": "method,label_h1,score_z\na,0,0.1\na,1,0.2,9\n",
+    "bad name after a non-finite score": 'method,label_h1,score_z\na,0,nan\n"a,b",1,1.5\n',
+    "trailing comma on every line": "method,label_h1,score_z,\n"
+    + "".join(r + ",\n" for r in _ROC_ROWS),
+    "trailing comma on one row": "method,label_h1,score_z\n" + "\n".join(_ROC_ROWS) + ",\n",
+    "empty file": "",
+    "header only": "method,label_h1,score_z\n",
+    "underscore and padded scores": "method,label_h1,score_z\n"
+    + "\n".join(_ROC_ROWS) + "\na,0,1_000\nb,1, 1.5 \n",
+    "one hypothesis": "method,label_h1,score_z\na,0,0.1\na,0,0.2\n",
+}
+
+
+@pytest.mark.parametrize("case", ROC_READER_CASES)
+def test_roc_reader_matches_the_dict_reader(tmp_path, capsys, monkeypatch, case):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(ROC_READER_CASES[case], encoding="utf-8", newline="")
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    code = main(["roc", "--scores", str(scores), "--out", str(ours)])
+    err = capsys.readouterr().err
+    monkeypatch.setattr(hdshrink.cli, "_cmd_roc", _roc_dict_reader)
+    assert main(["roc", "--scores", str(scores), "--out", str(ref)]) == code
+    assert capsys.readouterr().err == err
+    assert ours.exists() == ref.exists()
+    for name in ("roc.csv", "roc.svg", "summary.csv"):
+        if ref.exists():
+            assert (ours / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_roc_names_the_bad_rows_own_line_after_blank_lines(tmp_path, capsys):
+    # Lines 3 and 4 are blank; the bad label is on line 5.  DictReader gives
+    # 5 as well: building each row's dict reads its `fieldnames` property,
+    # which copies the inner reader's line_num after the blanks are skipped.
+    scores = tmp_path / "scores.csv"
+    scores.write_text(ROC_READER_CASES["bad label after blank lines"], newline="")
+    assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "data error: line 5: label_h1 '2' is not 0 or 1\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "rss"])
 def test_run_roc_files_equal_the_roc_command(tmp_path, config_path, command):
     # Config order (identity before cq for rss) is not name order: every ROC
@@ -805,12 +907,11 @@ class TestOracleCommand:
         out = tmp_path / "oracle"
         assert main(["oracle", "--phi", "0.2", "--out", str(out)]) == 0
         rows = (out / "oracle.csv").read_text().splitlines()
-        assert rows[0] == "x,w,hw,delta,fstar"
+        assert rows[0] == "x,w,hw,delta"
         assert len(rows) == 1 + 200
         body = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        assert body.shape == (200, 4)
         assert np.allclose(body[:, 3], 1.0)  # delta == 1 on support
-        interior = body[(body[:, 0] > 0.5) & (body[:, 0] < 1.9)]
-        assert np.abs(interior[:, 4] - 1.0).max() <= 0.05  # fstar near 1
 
     def test_bad_phi_exits_3(self, tmp_path):
         assert main(["oracle", "--phi", "1.5", "--out", str(tmp_path / "o")]) == 3

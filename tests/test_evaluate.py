@@ -23,7 +23,7 @@ from hdshrink.evaluate import (
 from hdshrink.linalg import single_threaded_blas
 from hdshrink.mpkernel import identity_mp_oracle
 from hdshrink.scoring import Failure, ScoreBlock, fit_reference, spectral_curve
-from hdshrink.shrinkers import PriorSpec, fstar_curve, ridge_shrinker
+from hdshrink.shrinkers import PriorSpec, ridge_shrinker
 from hdshrink.simulate import substream
 
 
@@ -325,10 +325,9 @@ class TestWriteTable:
         oracle = identity_mp_oracle(0.2)
         a, b = oracle.support
         xs = np.linspace(a + 1e-3 * (b - a), b - 1e-3 * (b - a), ORACLE_POINTS)
-        fstar = fstar_curve(oracle, np.ones_like, xs)
-        cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs), fstar)
+        cols = (xs, oracle.w(xs), oracle.Hw(xs), oracle.delta(xs))
         rows = zip(*(c.tolist() for c in cols))
-        expected = per_row_reference(("x", "w", "hw", "delta", "fstar"), rows)
+        expected = per_row_reference(("x", "w", "hw", "delta"), rows)
         assert (tmp_path / "oracle.csv").read_bytes() == expected
 
     def test_percent_in_a_foreign_method_name(self, tmp_path):

@@ -17,14 +17,13 @@ from hdshrink.errors import (
     RegimeError,
 )
 from hdshrink.linalg import cholesky, eigh, inverse_quadratic_forms, sample_covariance
-from hdshrink.mpkernel import identity_mp_oracle, lw_curve
+from hdshrink.mpkernel import lw_curve
 from hdshrink.shrinkers import (
     LAPPW_GRID,
     PRIOR_MODES,
     PriorSpec,
     TYLER_DEPTH,
     TYLER_TOL,
-    fstar_curve,
     hbar_values,
     hotelling_shrinker,
     identity_shrinker,
@@ -37,8 +36,6 @@ from hdshrink.shrinkers import (
 from hdshrink.simulate import _draw, _spd_root, make_covariance, substream
 
 from conftest import spectral_matrix
-
-ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
 
 
 def _criterion(F, prior, curve):
@@ -70,13 +67,9 @@ class TestHbarValues:
 class TestProposedShrinker:
     def test_close_to_limit_on_identity_data(self, identity_fit):
         _, _, curve = identity_fit
+        # At Sigma = I with the identity prior the limiting shrinker is 1.
         shrink = proposed_shrinker(curve, PriorSpec("identity"))
-        oracle = identity_mp_oracle(0.2)
-        a, b = oracle.support
-        lam = curve.lam
-        xs = np.clip(lam, a + 1e-4, b - 1e-4)
-        fs = fstar_curve(oracle, ONES, xs)
-        assert np.abs(shrink.values - fs).mean() <= 0.15
+        assert np.abs(shrink.values - 1.0).mean() <= 0.15
 
     def test_scaling_equivariance_inverse_square(self):
         # Precision values of the scaled problem are 1/c^2 times the
@@ -114,36 +107,6 @@ class TestProposedShrinker:
         bad = dataclasses.replace(curve, n=10)
         with pytest.raises(RegimeError):
             proposed_shrinker(bad, PriorSpec("identity"))
-
-
-class TestFstarOracle:
-    def test_zero_prior_weight_gives_zero(self):
-        oracle = identity_mp_oracle(0.2)
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        assert fstar_curve(oracle, zero, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_frozen_regression_value(self):
-        # Quadrature value at the default grid; the identity model's exact
-        # limit at x=1 is 1, approached as the grid refines.
-        oracle = identity_mp_oracle(0.2)
-        assert fstar_curve(oracle, ONES, [1.0])[0] == pytest.approx(
-            1.0000004989012066, abs=1e-9
-        )
-        assert fstar_curve(oracle, ONES, [1.0])[0] == pytest.approx(1.0, abs=0.02)
-
-    @pytest.mark.parametrize("phi", [0.1, 0.2, 0.5, 0.8])
-    def test_identity_model_limit_is_one(self, phi):
-        # delta = 1 and hbar = 1 make f* exactly 1 (fstar_curve docstring);
-        # what is left is the quadrature error of pv_hilbert.
-        oracle = identity_mp_oracle(phi)
-        a, b = oracle.support
-        xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 101)
-        assert np.abs(fstar_curve(oracle, ONES, xs) - 1.0).max() <= 1e-4
-
-    def test_rejects_x_outside_support(self):
-        oracle = identity_mp_oracle(0.2)
-        with pytest.raises(DomainError):
-            fstar_curve(oracle, ONES, [5.0])
 
 
 class TestLwComparator:
