@@ -30,7 +30,6 @@ from .mpkernel import (
     identity_mp_oracle,
     kernel_matrix,
     lw_curve,
-    pv_hilbert,
     semicircle_kernel,
 )
 from .rss import RssExperimentConfig, RssSeries, detrend, load_rss, rss_experiment

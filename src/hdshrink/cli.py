@@ -86,7 +86,7 @@ def _cmd_simulate(args) -> int:
     resolved = dataclasses.replace(cfg, gamma=gamma)
     outputs = run_trials(resolved, Sigma=sigma, threads=threads)
     fits = [f for o in outputs for f in o.fits]
-    manifest = [("seed", cfg.seed), ("gamma", f"{gamma:.17g}"), ("threads", threads)]
+    manifest = [("seed", cfg.seed), ("gamma", evaluate.FLOAT_FMT % gamma), ("threads", threads)]
     _write_run("simulate", args, manifest, fits, evaluate.pooled_rocs(fits))
     return 0
 

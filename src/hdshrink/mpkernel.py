@@ -1,8 +1,7 @@
 """Semicircular-kernel estimation of the limiting spectral density, its
 Hilbert transform, and the nonlinear shrinkage curve built from them, plus
 the closed-form oracle of the identity model, whose delta is lw_curve's
-shrinkage formula at the exact density, and a principal-value quadrature
-rule, the reference the acceptance suite holds the kernel transform to.
+shrinkage formula at the exact density.
 
 Conventions: the Hilbert transform carries the 1/pi factor,
 Hf(x) = pi^{-1} p.v. integral f(t) / (t - x) dt, and the kernel pair is
@@ -118,92 +117,6 @@ def lw_curve(lam, n) -> LwCurve:
         hilbert_matrix=hmat,
         n=int(n),
     )
-
-
-def _check_uniform_grid(grid) -> float:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 8:
-        raise DimensionError("pv_hilbert needs a 1-d grid of at least 8 points")
-    steps = np.diff(grid)
-    h = steps.mean()
-    if h <= 0 or np.abs(steps - h).max() > 1e-9 * abs(h):
-        raise DomainError("pv_hilbert requires a uniform, increasing grid")
-    return float(h)
-
-
-def _digamma(z) -> np.ndarray:
-    """Digamma for z > 0 via upward recurrence and the asymptotic series,
-    elementwise."""
-    z = np.array(z, dtype=float)
-    acc = np.zeros_like(z)
-    while np.any(z < 8.0):
-        low = z < 8.0
-        acc -= np.where(low, 1.0 / z, 0.0)
-        z = np.where(low, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    return acc + (
-        np.log(z)
-        - 0.5 / z
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))
-    )
-
-
-def pv_hilbert(f_vals, grid, xs):
-    """Principal-value Hilbert transform of a tabulated function at the
-    points xs.
-
-    Sum over the uniform grid with the two nodes k, k + 1 around each x
-    excluded, plus the analytic correction for the excluded pair.  Writing
-    theta in [0, 1) for the fractional offset of x in its cell, the
-    punctured sum of the singular part differs from the principal value by
-    the digamma gap psi(1 + theta) - psi(2 - theta), and the smooth part
-    misses the pair's h [g(t_k) + g(t_k+1)], g(t) = (f(t) - f(x)) / (t - x),
-    which is 2h f'(x) + (1/2 - theta) h^2 f''(x) to second order, so
-
-        pv = sum + 2h f'(x) + (1/2 - theta) h^2 f''(x)
-             + f(x) [psi(2 - theta) - psi(1 + theta)].
-
-    Second-order accurate for C^2 integrands, uniformly in theta, a node
-    (theta = 0) included.  The f'' term makes the rule continuous where the
-    excluded pair moves on at a node; without it the value would jump by
-    the second difference of f there over pi.  Used as an oracle, not
-    inside the fitted estimators.
-    """
-    f = np.asarray(f_vals, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if f.shape != grid.shape:
-        raise DimensionError("tabulated values and grid must have equal length")
-    h = _check_uniform_grid(grid)
-    N = grid.shape[0]
-    x = np.asarray(xs, dtype=float)
-    flat = x.ravel()
-    pos = (flat - grid[0]) / h
-    # Nodes 2 and N - 3 are inside, whichever way their offset rounds.
-    if not np.all((pos > 2.0 - 1e-9) & (pos < N - 3.0 + 1e-9)):
-        raise DomainError(
-            f"points must lie inside the grid interior [{grid[2]}, {grid[-3]}]"
-        )
-    k = np.floor(pos).astype(int)
-    theta = pos - k
-    df = np.gradient(f, h)
-    d2f = np.zeros(N)  # h^2 f'' at the nodes, by second differences
-    d2f[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    fx = (1.0 - theta) * f[k] + theta * f[k + 1]
-    fpx = (1.0 - theta) * df[k] + theta * df[k + 1]
-    f2x = (1.0 - theta) * d2f[k] + theta * d2f[k + 1]
-    punctured = np.empty(pos.size)
-    # Chunk the outer difference to bound memory on long grids.
-    for start in range(0, pos.size, 512):
-        rows = slice(start, start + 512)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = f[None, :] / (grid[None, :] - flat[rows, None])
-        r = np.arange(ratio.shape[0])
-        ratio[r, k[rows]] = 0.0
-        ratio[r, k[rows] + 1] = 0.0
-        punctured[rows] = ratio.sum(axis=1)
-    total = h * punctured + 2.0 * h * fpx + (0.5 - theta) * f2x
-    total += fx * (_digamma(2.0 - theta) - _digamma(1.0 + theta))
-    return (total / np.pi).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from hdshrink.linalg import eigh, sample_covariance
 from hdshrink.mpkernel import (
     kernel_matrix,
     lw_curve,
-    pv_hilbert,
     semicircle_kernel,
 )
 from hdshrink.shrinkers import (
@@ -41,6 +40,8 @@ from hdshrink.simulate import (
     substream,
     write_scores_csv,
 )
+
+from conftest import pv_of_kernel_density, pv_of_semicircle
 
 
 def _report(num, name, ok, detail):
@@ -98,7 +99,7 @@ def test_criterion_3_kernel_hilbert_oracle_agreement():
     margin = 4 * delta * lam.mean()
     interior = grid[(grid > lam.min() + margin) & (grid < lam.max() - margin)][::20]
     hw = kernel_matrix(lam, n, interior)[1].mean(axis=0)
-    sup = max(abs(pv_hilbert(w, grid, float(x)) - h) for x, h in zip(interior, hw))
+    sup = float(np.abs(pv_of_kernel_density(lam, n, interior, bound=1e-2) - hw).max())
     elapsed = time.time() - start
     ok = sup <= 1e-2 and abs(integral - 1.0) <= 1e-3 and elapsed < 10
     _report(3, "kernel vs principal-value quadrature", ok,
@@ -329,11 +330,9 @@ def test_criterion_9_exactness_micro_suite():
     pair = (wins + 0.5 * ties) / (h0.size * h1.size)
     checks.append(("pairwise AUC", abs(auc(roc(h0, h1)) - pair) <= 1e-12))
 
-    # principal-value rule vs closed-form transform
-    grid = np.linspace(-4, 4, 8001)
-    ktab, _ = semicircle_kernel(grid)
+    # principal-value rule (QUADPACK's QAWC) vs closed-form transform
     pv_ok = all(
-        abs(pv_hilbert(ktab, grid, x) - semicircle_kernel(x)[1]) <= 1e-3
+        abs(pv_of_semicircle(x) - semicircle_kernel(x)[1]) <= 1e-3
         for x in (0.0, 1.0, 1.5)
     )
     checks.append(("PV rule vs closed form", pv_ok))

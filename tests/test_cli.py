@@ -516,6 +516,33 @@ class TestRssCommand:
         assert errors and all(row[1] in SPECTRAL_METHODS for row in errors)
         assert {row[2] for row in errors} == {"DomainError"}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file"),
+            ("t,label\n", "line 1: header too short"),
+            ("t,label,ch_0002,ch_0001\n0,0,1,2\n", "line 1: unexpected header"),
+            ("t,label,ch_0001\n0,0,1.5\n1,0,abc\n", "line 3: could not convert"),
+            ("t,label,ch_0001\n", "line 2: no data rows"),
+        ],
+        ids=["empty", "short-header", "permuted-header", "non-numeric", "header-only"],
+    )
+    def test_malformed_data_exits_3_with_line(self, tmp_path, capsys, text, message):
+        _, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 1\n")
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_resamples_exits_2(self, tmp_path, capsys):
+        data, cfg = _rss_inputs(tmp_path, "n = 30\nresamples = 0\n")
+        out = tmp_path / "o"
+        assert main(["rss", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: resamples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_exits_3(self, tmp_path):
         cfg = tmp_path / "rss.cfg"
         cfg.write_text("n = 10\n")

@@ -228,6 +228,11 @@ class TestDetectionCriterion:
         with pytest.raises(DegenerateStatisticError):
             criterion_batch(np.zeros((1, 200)), np.ones(200), curve)
 
+    def test_hbar_length_mismatch(self, identity_fit):
+        _, _, curve = identity_fit
+        with pytest.raises(DimensionError, match="disagree in length"):
+            criterion_batch(np.ones((1, 200)), np.ones(199), curve)
+
     def test_ratio_field_consistency(self, identity_fit):
         _, _, curve = identity_fit
         f = np.ones(200)

@@ -1,8 +1,16 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 from hdshrink.errors import DataError, DimensionError, NumericError
-from hdshrink.linalg import eigh, forward_substitute, load_matrix, sample_covariance
+from hdshrink.linalg import (
+    blas_thread_control,
+    eigh,
+    forward_substitute,
+    load_matrix,
+    sample_covariance,
+)
 from hdshrink.shrinkers import tyler_estimator
 
 from conftest import spectral_matrix
@@ -47,6 +55,15 @@ class TestSampleCovariance:
         X[0, 0] = np.nan
         with pytest.raises(DataError):
             sample_covariance(X)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((3,), "must be 2-d"), ((0, 3), "at least one row")],
+        ids=["1d", "no-rows"],
+    )
+    def test_rejects_non_matrix_shapes(self, shape, match):
+        with pytest.raises(DimensionError, match=match):
+            sample_covariance(np.ones(shape))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -108,6 +125,14 @@ class TestEigh:
         assert type(spec) is type(reference)
         assert spec.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
         assert spec.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="expected a square matrix"):
+            eigh(np.ones((2, 3)))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(DataError, match="non-finite"):
+            eigh(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_lapack_failure_is_a_numeric_error(self, monkeypatch):
         def failing(S):
@@ -195,9 +220,32 @@ class TestCsvIO:
         assert M.shape == (1, 3)
         assert np.allclose(M.ravel(), v)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [("1.0,abc\n", "failed to parse"), ("1.0,nan\n", "contains non-finite entries")],
+        ids=["non-numeric", "nan"],
+    )
+    def test_bad_cell_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=match):
+            load_matrix(path)
+
     def test_no_header_and_comma_separator(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1.0,2.0\n3.5,4.5\n")
         M = load_matrix(path)
         assert M.shape == (2, 2)
         assert M[1, 0] == 3.5
+
+
+def test_blas_control_is_none_without_the_openblas_library(monkeypatch):
+    def unavailable(name):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(ctypes, "CDLL", unavailable)
+    blas_thread_control.cache_clear()
+    try:
+        assert blas_thread_control() is None
+    finally:
+        blas_thread_control.cache_clear()  # the next call looks the library up again

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hdshrink.errors import DomainError, RegimeError
+from hdshrink.errors import DimensionError, DomainError, RegimeError
 from hdshrink.linalg import sample_covariance
 from hdshrink.mpkernel import (
+    check_spectrum,
     identity_mp_oracle,
     kernel_matrix,
     lw_curve,
-    pv_hilbert,
     semicircle_kernel,
 )
+
+from conftest import pv_of_kernel_density, pv_of_semicircle
 
 PHI = 0.2
 OUTSIDE = (0.05, 0.2, 2.3, 3.0, 5.0, 10.0)  # support at PHI: [0.3056, 2.0944]
@@ -87,6 +89,10 @@ class TestDensityEstimate:
         with pytest.raises(DomainError):
             kernel_matrix([1.0, -0.5], 100, 1.0)
 
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(DimensionError, match="nonempty 1-d vector"):
+            check_spectrum([])
+
 
 class TestHilbertEstimate:
     def test_zero_at_center(self):
@@ -107,13 +113,12 @@ class TestHilbertEstimate:
         lo = lam.min() * (1 - 2 * delta) - 0.05
         hi = lam.max() * (1 + 2 * delta) + 0.05
         grid = np.arange(lo, hi, step)
-        w = density_at(lam, n, grid)
         margin = 4 * delta * lam.mean()
         interior = grid[(grid > lam.min() + margin) & (grid < lam.max() - margin)]
         xs = interior[::40]
         hw = hilbert_at(lam, n, xs)
-        errs = [abs(pv_hilbert(w, grid, x) - h) for x, h in zip(xs, hw)]
-        assert max(errs) <= 1e-2
+        errs = np.abs(pv_of_kernel_density(lam, n, xs, bound=1e-2) - hw)
+        assert errs.max() <= 1e-2
 
 
 class TestLwCurve:
@@ -182,56 +187,9 @@ class TestLwCurve:
 
 class TestPvHilbert:
     def test_semicircle_closed_form(self):
-        grid = np.linspace(-4, 4, 8001)
-        k, _ = semicircle_kernel(grid)
         for x in (0.0, 1.0, 1.5):
             _, exact = semicircle_kernel(x)
-            assert pv_hilbert(k, grid, x) == pytest.approx(exact, abs=1e-3)
-
-    def test_even_function_cancels(self):
-        # domain symmetric about x so the odd integrand cancels exactly
-        grid = np.linspace(0.4 - 3, 0.4 + 3, 4000)
-        f = np.exp(-((grid - 0.4) ** 2))
-        assert abs(pv_hilbert(f, grid, 0.4)) <= 1e-6
-
-    def test_consistent_with_stieltjes_equation(self):
-        # The self-consistent equation for the identity model reduces to
-        # phi z m^2 - (1 - phi - z) m + 1 = 0; the transform at x + i0
-        # has real part pi * Hw(x).
-        oracle = identity_mp_oracle(PHI)
-        a, b = oracle.support
-        for x in np.linspace(a + 0.2, b - 0.2, 5):
-            assert oracle.Hw(x) == pytest.approx(stieltjes_hw(x, 0.0), abs=1e-12)
-
-    def test_vectorized_equals_pointwise(self):
-        grid = np.linspace(-4, 4, 8001)
-        k, _ = semicircle_kernel(grid)
-        xs = np.concatenate([grid[2:-2:7], grid[[-3]], np.linspace(-3.99, 3.99, 1200)])
-        pointwise = np.array([pv_hilbert(k, grid, x) for x in xs])
-        assert np.array_equal(pv_hilbert(k, grid, xs), pointwise)
-        assert pv_hilbert(k, grid, xs.reshape(2, -1)).shape == (2, xs.size // 2)
-
-    @pytest.mark.parametrize("node", [2667, 4000, 4300])
-    def test_continuous_through_a_node(self, node):
-        # One rule for every offset: at a node and 1e-9 cells either side
-        # the values agree, for the semicircle and a Gaussian.
-        grid = np.linspace(-4, 4, 8001)
-        h = grid[1] - grid[0]
-        x0 = grid[node]
-        xs = np.array([x0 - 1e-9 * h, x0, x0 + 1e-9 * h])
-        for f in (semicircle_kernel(grid)[0], np.exp(-grid**2)):
-            vals = pv_hilbert(f, grid, xs)
-            assert np.ptp(vals) <= 1e-9
-
-    def test_rejects_x_outside_interior(self):
-        grid = np.linspace(0, 1, 101)
-        f = np.ones(101)
-        with pytest.raises(DomainError):
-            pv_hilbert(f, grid, 1.5)
-        with pytest.raises(DomainError):
-            pv_hilbert(f, grid, 0.005)
-        with pytest.raises(DomainError):
-            pv_hilbert(f, grid, [0.5, 0.995])
+            assert pv_of_semicircle(x) == pytest.approx(exact, abs=1e-3)
 
 
 class TestIdentityOracle:
@@ -274,6 +232,15 @@ class TestIdentityOracle:
         oracle = identity_mp_oracle(PHI)
         for x in OUTSIDE:
             assert oracle.Hw(x) == pytest.approx(stieltjes_hw(x, 1e-9), abs=1e-12)
+
+    def test_consistent_with_stieltjes_equation(self):
+        # The self-consistent equation for the identity model reduces to
+        # phi z m^2 - (1 - phi - z) m + 1 = 0; the transform at x + i0
+        # has real part pi * Hw(x).
+        oracle = identity_mp_oracle(PHI)
+        a, b = oracle.support
+        for x in np.linspace(a + 0.2, b - 0.2, 5):
+            assert oracle.Hw(x) == pytest.approx(stieltjes_hw(x, 0.0), abs=1e-12)
 
     def test_rejects_bad_phi(self):
         with pytest.raises(DomainError):

@@ -87,6 +87,17 @@ class TestLoadSave:
             load_rss(path)
 
 
+class TestSeriesValidation:
+    def test_lengths_must_agree(self):
+        with pytest.raises(DataError, match="lengths disagree"):
+            RssSeries(np.arange(4.0), np.zeros((3, 2)), np.zeros(4, dtype=bool))
+
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["equal", "decreasing"])
+    def test_timestamps_must_increase(self, t):
+        with pytest.raises(DataError, match="strictly increasing"):
+            RssSeries(np.array(t), np.zeros((3, 2)), np.zeros(3, dtype=bool))
+
+
 class TestDetrend:
     def test_constant_channel_zeroed(self):
         series = tiny_series(T=40, p=3, shift=0.0)
@@ -122,6 +133,12 @@ class TestDetrend:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             detrend(tiny_series(), "loess")
+
+    def test_channel_mean_needs_an_inactive_instant(self):
+        series = tiny_series(T=10, p=2)
+        active = RssSeries(series.timestamps, series.channels, np.ones(10, dtype=bool))
+        with pytest.raises(DataError, match="at least one inactive instant"):
+            detrend(active, "channel_mean")
 
 
 class TestRssExperiment:

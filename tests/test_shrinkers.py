@@ -11,7 +11,9 @@ from hdshrink.detector import criterion_batch, srht_many
 from hdshrink.errors import (
     ConfigError,
     ConvergenceError,
+    DataError,
     DegenerateStatisticError,
+    DimensionError,
     DomainError,
     NumericError,
     RegimeError,
@@ -22,6 +24,7 @@ from hdshrink.shrinkers import (
     LAPPW_GRID,
     PRIOR_MODES,
     PriorSpec,
+    ShrinkageCurve,
     TYLER_DEPTH,
     TYLER_TOL,
     hbar_values,
@@ -405,6 +408,22 @@ class TestTylerEstimator:
         with pytest.raises(DomainError):
             tyler_estimator(np.ones((2, 4)), rho=1.0)
 
+    def test_rejects_one_dimensional_sample(self):
+        with pytest.raises(DimensionError, match="p x n data matrix"):
+            tyler_estimator(np.arange(5.0), rho=0.1)
+
+    def test_rejects_zero_centered_sample(self):
+        # Column 2 equals the sample mean, so its centered copy is zero.
+        X = np.array([[1.0, -1.0, 0.0, 2.0, -2.0], [0.5, -0.5, 0.0, -1.0, 1.0]])
+        with pytest.raises(DataError, match="centered sample is the zero vector"):
+            tyler_estimator(X, rho=0.1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unregularized_needs_n_above_p(self, n):
+        X = np.random.default_rng(11).standard_normal((4, n))
+        with pytest.raises(RegimeError, match="needs n > p"):
+            tyler_estimator(X, rho=0.0)
+
     @pytest.mark.parametrize("p, n", [(50, 90), (200, 300)])
     def test_matches_lu_solve_reference(self, p, n):
         # The reference runs to 1e-13. Stopped at TYLER_TOL, the plain
@@ -500,6 +519,17 @@ class TestTylerEstimator:
 class TestSimpleShrinkers:
     def test_identity_values(self):
         assert np.array_equal(identity_shrinker(3).values, np.ones(3))
+
+    def test_identity_rejects_zero_dimension(self):
+        with pytest.raises(DimensionError, match="got 0"):
+            identity_shrinker(0)
+
+    @pytest.mark.parametrize(
+        "bad, match", [(np.nan, "non-finite"), (-0.5, "negative")], ids=["nan", "negative"]
+    )
+    def test_curve_rejects_bad_values(self, bad, match):
+        with pytest.raises(NumericError, match=match):
+            ShrinkageCurve(values=np.array([1.0, bad, 2.0]))
 
     def test_identity_apply_spectral_exact(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -417,6 +418,11 @@ class TestRunTrials:
         ref = yy - 2.0 * (X.mean(axis=1) @ Y) + (G.sum() - np.trace(G)) / (n * (n - 1))
         assert np.all(np.abs(raw - ref) <= 1e-12 * yy)
 
+    def test_unknown_method_rejected_at_build(self):
+        fit = hdshrink.scoring.fit_reference(substream(1, "unknown").standard_normal((5, 20)))
+        with pytest.raises(ConfigError, match="unknown method 'foo'"):
+            hdshrink.scoring.build_scorer("foo", fit, PriorSpec())
+
     @pytest.mark.parametrize("method", hdshrink.scoring.SPECTRAL_METHODS)
     def test_spectral_z_is_free_of_data_units(self, method):
         # The statistic is degree-0 homogeneous in the data, and a power of
@@ -755,6 +761,25 @@ class TestConfigFile:
         assert cfg.p == 44 and cfg.gamma is None
         assert cfg.methods == ("proposed", "identity")
         assert cfg.prior.mode == "covariance_matched"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("p 44", "config line 1: expected 'key = value'"),
+            ("methods = proposed, foo", "unknown methods ['foo']"),
+            ("component_dist = cauchy", "component_dist must be one of"),
+        ],
+        ids=["no-equals", "unknown-method", "component-dist"],
+    )
+    def test_bad_line_exits_2_naming_it(self, tmp_path, capsys, line, message):
+        path = tmp_path / "cfg"
+        path.write_text(f"{line}\nn = 70\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "line", ["tail.mode = hanson_wright", "tail.c = 0.25"], ids=["mode", "c"]
